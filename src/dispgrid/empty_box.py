@@ -10,11 +10,17 @@ convention a point lies in a candidate box exactly when it is strictly
 inside on every axis, and the maximum over candidates equals the supremum
 over all boxes.
 
+Both searches run one pruned scan over the candidates in lexicographic
+endpoint order, after an enumeration guard that counts candidates from the
+per-axis endpoint counts alone. Ties resolve to the lexicographically
+smallest witness.
+
 For grid-valued inputs the whole search runs on integer numerators and the
 result is exact (an arbitrary-precision integer over 2^(k*d)); real-valued
 inputs use float arithmetic.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -111,46 +117,89 @@ class ThresholdWitness(NamedTuple):
     witness: Box | None
 
 
-def _scaled_instance(points: PointSet):
-    """Coordinates in scan units: integer numerators over `scale` for grid, floats otherwise."""
-    if points.repr == GRID_REPR:
-        scale = 2**points.k
-        return points.points, scale, True
-    return points.points, 1.0, False
+def _candidate_axes(points: PointSet, limit: int | None):
+    """Per-axis candidate intervals in scan units, built after the enumeration guard.
 
-
-def _axis_pairs(rows, d, scale):
-    """Per axis: sorted candidate endpoints, coordinate set, and interval masks.
-
-    Each pair (lo, hi, mask) has bit i of mask set when point i lies strictly
-    inside (lo, hi) on that axis.
+    Scan units are integer numerators over 2^k for grid input and floats
+    otherwise. The guard counts candidate boxes from the per-axis endpoint
+    counts alone, so it refuses before any per-point work. Each axis then lists
+    (lo, hi, mask) for every endpoint pair in lexicographic order; bit i of mask
+    is set when point i lies strictly inside (lo, hi) on that axis.
     """
+    rows = points.points
+    unit = 2**points.k if points.repr == GRID_REPR else 1.0
+    cols = [[row[axis] for row in rows] for axis in range(points.dim)]
+    cands = [sorted({0 * unit, unit, *col}) for col in cols]
+    count = math.prod(len(c) * (len(c) - 1) // 2 for c in cands)
+    check_enumeration("candidate boxes", count, limit, DEFAULT_ENUMERATION_LIMIT)
+
     axes = []
-    for axis in range(d):
-        col = [row[axis] for row in rows]
-        if isinstance(scale, int):
-            cands = sorted({0, scale, *col})
-        else:
-            cands = sorted({0.0, 1.0, *col})
-        coordset = set(col)
+    for col, values in zip(cols, cands):
+        index = {v: i for i, v in enumerate(values)}
+        at = [0] * len(values)
+        for bit, x in enumerate(col):
+            at[index[x]] |= 1 << bit
+        below = [0]  # below[j]: points with coordinate < values[j]
+        for mask in at[:-1]:
+            below.append(below[-1] | mask)
+        every = below[-1] | at[-1]
         pairs = []
-        for i, lo in enumerate(cands):
-            for hi in cands[i + 1 :]:
-                mask = 0
-                for idx, x in enumerate(col):
-                    if lo < x < hi:
-                        mask |= 1 << idx
-                pairs.append((lo, hi, mask))
-        axes.append((cands, coordset, pairs))
-    return axes
+        for i, lo in enumerate(values):
+            above = every ^ (below[i] | at[i])
+            pairs.extend((lo, values[j], above & below[j]) for j in range(i + 1, len(values)))
+        axes.append(pairs)
+    return axes, unit
 
 
-def _witness_box(endpoints, axes, scale, is_grid) -> Box:
+def _scan(axes, unit, n: int, best, *, first: bool = False):
+    """Empty candidate box of largest volume strictly above `best`.
+
+    Visits boxes in lexicographic endpoint order, skips a subtree whose bound
+    vol * unit^remaining cannot strictly beat the best so far, and replaces
+    the best only on strict improvement, so the result is the lexicographically
+    smallest maximal witness. With `first` set it stops at the first box above
+    `best`. Returns (volume, endpoints); endpoints is None when no box beats
+    `best`.
+    """
+    d = len(axes)
+    caps = [unit ** (d - axis) for axis in range(d + 1)]
+    full = (0 * unit, unit)
+    chosen = []
+    found = None
+
+    def visit(axis, vol, mask):
+        nonlocal best, found
+        bound = vol * caps[axis]
+        if bound <= best:
+            return False
+        if mask == 0:
+            # every completion is empty; the full-range one is the subtree's only maximiser
+            best = bound
+            found = chosen + [full] * (d - axis)
+            return first
+        if axis == d:
+            return False
+        for lo, hi, pmask in axes[axis]:
+            chosen.append((lo, hi))
+            stop = visit(axis + 1, vol * (hi - lo), mask & pmask)
+            chosen.pop()
+            if stop:
+                return True
+        return False
+
+    visit(0, caps[d], (1 << n) - 1)
+    visit = None  # break the closure's reference to itself so the masks are freed now, not by gc
+    return best, found
+
+
+def _witness_box(endpoints, rows, unit) -> Box:
+    """Box for scan-unit endpoints; a face is open exactly where it sits on a coordinate."""
     lower, upper, olo, ohi = [], [], [], []
-    for (lo, hi), (_, coordset, _) in zip(endpoints, axes):
-        if is_grid:
-            lower.append(Fraction(lo, scale))
-            upper.append(Fraction(hi, scale))
+    for axis, (lo, hi) in enumerate(endpoints):
+        coordset = {row[axis] for row in rows}
+        if isinstance(unit, int):
+            lower.append(Fraction(lo, unit))
+            upper.append(Fraction(hi, unit))
         else:
             lower.append(lo)
             upper.append(hi)
@@ -159,80 +208,19 @@ def _witness_box(endpoints, axes, scale, is_grid) -> Box:
     return Box(tuple(lower), tuple(upper), tuple(olo), tuple(ohi))
 
 
-def _candidate_count(axes) -> int:
-    total = 1
-    for _, _, pairs in axes:
-        total *= len(pairs)
-    return total
-
-
-def largest_empty_box(
-    points: PointSet, *, limit: int | None = None, prune: bool = False
-) -> DispersionResult:
+def largest_empty_box(points: PointSet, *, limit: int | None = None) -> DispersionResult:
     """Exact dispersion of a point set with a witness box.
 
-    Scans every candidate box (per-axis endpoint pairs drawn from the
-    coordinates plus {0, 1}); refuses when the candidate count exceeds the
-    enumeration limit. The reference mode scans exhaustively in lexicographic
-    endpoint order, so ties resolve to the lexicographically smallest witness
-    endpoint vector. With ``prune=True`` subtrees that cannot strictly beat
-    the current best are skipped; the returned volume is identical, the
-    witness may be a different maximizer.
+    Searches every candidate box (per-axis endpoint pairs drawn from the
+    coordinates plus {0, 1}) in one pruned scan; refuses before any per-point
+    work when the candidate count exceeds the enumeration limit. Ties resolve
+    to the lexicographically smallest witness endpoint vector, as an
+    exhaustive scan that keeps only strict improvements would find.
     """
-    d = points.dim
-    rows, scale, is_grid = _scaled_instance(points)
-    axes = _axis_pairs(rows, d, scale)
-    check_enumeration("candidate boxes", _candidate_count(axes), limit, DEFAULT_ENUMERATION_LIMIT)
-
-    full_mask = (1 << len(rows)) - 1
-    best_vol = None
-    best_endpoints = None
-    unit = scale if is_grid else 1.0
-
-    if not prune:
-        def scan(axis, vol, mask, chosen):
-            nonlocal best_vol, best_endpoints
-            if axis == d:
-                if mask == 0 and (best_vol is None or vol > best_vol):
-                    best_vol = vol
-                    best_endpoints = list(chosen)
-                return
-            for lo, hi, pmask in axes[axis][2]:
-                chosen.append((lo, hi))
-                scan(axis + 1, vol * (hi - lo), mask & pmask, chosen)
-                chosen.pop()
-
-        scan(0, 1 if is_grid else 1.0, full_mask, [])
-    else:
-        # widest intervals first so the best volume is found early
-        sorted_pairs = [
-            sorted(pairs, key=lambda p: p[1] - p[0], reverse=True) for _, _, pairs in axes
-        ]
-
-        def scan(axis, vol, mask, chosen):
-            nonlocal best_vol, best_endpoints
-            remaining = d - axis
-            if best_vol is not None and vol * unit**remaining <= best_vol:
-                return
-            if mask == 0:
-                # no surviving point: complete with full-range intervals
-                total = vol * unit**remaining
-                if best_vol is None or total > best_vol:
-                    best_vol = total
-                    full = (0, scale) if is_grid else (0.0, 1.0)
-                    best_endpoints = list(chosen) + [full] * remaining
-                return
-            if axis == d:
-                return
-            for lo, hi, pmask in sorted_pairs[axis]:
-                chosen.append((lo, hi))
-                scan(axis + 1, vol * (hi - lo), mask & pmask, chosen)
-                chosen.pop()
-
-        scan(0, 1 if is_grid else 1.0, full_mask, [])
-
-    witness = _witness_box(best_endpoints, axes, scale, is_grid)
-    volume = Fraction(best_vol, scale**d) if is_grid else best_vol
+    axes, unit = _candidate_axes(points, limit)
+    best, endpoints = _scan(axes, unit, points.n, 0 * unit)
+    witness = _witness_box(endpoints, points.points, unit)
+    volume = Fraction(best, unit**points.dim) if isinstance(unit, int) else best
     return DispersionResult(volume=volume, witness=witness)
 
 
@@ -241,36 +229,19 @@ def has_empty_box_above(
 ) -> ThresholdWitness:
     """Whether some candidate box with volume strictly above `threshold` is empty.
 
-    Equivalent to ``largest_empty_box(points).volume > threshold`` but stops
-    at the first witness.
+    Equivalent to ``largest_empty_box(points).volume > threshold``. Runs the
+    same pruned scan with the threshold as the starting best and stops at the
+    first empty box above it, so the witness is some empty box above the
+    threshold, not necessarily a maximal one. The guard is checked first, as
+    in ``largest_empty_box``.
     """
-    d = points.dim
-    rows, scale, is_grid = _scaled_instance(points)
-    axes = _axis_pairs(rows, d, scale)
-    check_enumeration("candidate boxes", _candidate_count(axes), limit, DEFAULT_ENUMERATION_LIMIT)
-
-    if is_grid:
-        # compare integer volume numerators against threshold * 2^(k*d)
-        thr = exact_fraction(threshold) * scale**d
+    axes, unit = _candidate_axes(points, limit)
+    if isinstance(unit, int):
+        # integer volume numerators beat threshold * 2^(k*d) exactly when they beat its floor
+        thr = math.floor(exact_fraction(threshold) * unit**points.dim)
     else:
         thr = float(threshold)
-
-    full_mask = (1 << len(rows)) - 1
-
-    def scan(axis, vol, mask, chosen):
-        if axis == d:
-            if mask == 0 and vol > thr:
-                return list(chosen)
-            return None
-        for lo, hi, pmask in axes[axis][2]:
-            chosen.append((lo, hi))
-            hit = scan(axis + 1, vol * (hi - lo), mask & pmask, chosen)
-            if hit is not None:
-                return hit
-            chosen.pop()
-        return None
-
-    endpoints = scan(0, 1 if is_grid else 1.0, full_mask, [])
+    _, endpoints = _scan(axes, unit, points.n, thr, first=True)
     if endpoints is None:
         return ThresholdWitness(False, None)
-    return ThresholdWitness(True, _witness_box(endpoints, axes, scale, is_grid))
+    return ThresholdWitness(True, _witness_box(endpoints, points.points, unit))

@@ -58,14 +58,6 @@ class CoreBox:
         ranges = [range(lo, hi + 1) for lo, hi in zip(self.lo, self.hi)]
         return itertools.product(*ranges)
 
-    def lower_values(self) -> tuple[Fraction, ...]:
-        m = 2**self.k
-        return tuple(Fraction(a, m) for a in self.lo)
-
-    def upper_values(self) -> tuple[Fraction, ...]:
-        m = 2**self.k
-        return tuple(Fraction(a, m) for a in self.hi)
-
 
 @dataclass(frozen=True)
 class BoxClass:
@@ -100,10 +92,6 @@ class BoxClass:
         """Number of axes whose length bucket is below the maximal 2^k - 1."""
         m = 2**self.k
         return sum(1 for s in self.span if s < m - 1)
-
-    def anchor_values(self) -> tuple[Fraction, ...]:
-        m = 2**self.k
-        return tuple(Fraction(a, m) for a in self.anchor)
 
     def max_volume(self) -> Fraction:
         """Largest volume attainable by a member box, as an exact rational.
@@ -171,16 +159,8 @@ def classify_box(box: Box, k) -> BoxClass:
     return BoxClass(k=kk, anchor=tuple(anchor), span=tuple(span))
 
 
-def enumerate_feasible_classes(
-    k, d: int, *, prune_short_sides: bool = False, limit: int | None = None
-) -> Iterator[BoxClass]:
-    """All feasible classes at resolution k in dimension d.
-
-    With ``prune_short_sides`` set, span vectors with short-side count at or
-    above the ln(2)*k*2^k threshold are skipped before the anchor loop; every
-    feasible class satisfies the threshold strictly, so the yielded set is
-    identical either way.
-    """
+def enumerate_feasible_classes(k, d: int, *, limit: int | None = None) -> Iterator[BoxClass]:
+    """All feasible classes at resolution k in dimension d."""
     kk = require_k(k)
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
@@ -188,13 +168,8 @@ def enumerate_feasible_classes(
     check_enumeration(
         "box-class enumeration", (m**d) * ((m - 1) ** d), limit, DEFAULT_ENUMERATION_LIMIT
     )
-    threshold = short_side_threshold(kk)
     vol_floor = m ** (d - 1)
     for span in itertools.product(range(1, m), repeat=d):
-        if prune_short_sides:
-            short = sum(1 for s in span if s < m - 1)
-            if short >= threshold:
-                continue
         anchor_ranges = [range(1, m - s + 1) for s in span]
         for anchor in itertools.product(*anchor_ranges):
             num = 1

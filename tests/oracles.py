@@ -1,10 +1,10 @@
 """Independent oracles used by the test suite.
 
 Each oracle recomputes a quantity by a different route than the library:
-shrunken closed-box scans for the dispersion, inclusion-exclusion surjection
-counts for exact failure probabilities, grid enumeration for hit
-probabilities, and classification of a fine mesh of boxes for the feasible
-class set.
+plain unpruned and shrunken closed-box scans for the dispersion,
+inclusion-exclusion surjection counts for exact failure probabilities, grid
+enumeration for hit probabilities, and classification of a fine mesh of
+boxes for the feasible class set.
 """
 
 import itertools
@@ -44,6 +44,36 @@ def shrink_oracle_dispersion(points: PointSet, delta: float = 1e-12) -> float:
         if empty:
             best = vol
     return best
+
+
+def exhaustive_largest_empty_box(points: PointSet):
+    """Exact dispersion and its witness by a plain scan of every candidate box.
+
+    Candidate endpoints per axis are the coordinates plus {0, 1}, and a point
+    lies in a candidate box when it is strictly inside on every axis. Boxes
+    are visited in lexicographic endpoint order and only a strictly larger
+    volume replaces the best, so the witness is the lexicographically first
+    maximiser. Returns (volume, witness box).
+    """
+    d = points.dim
+    rows = list(points.values())
+    coords = [{row[axis] for row in rows} for axis in range(d)]
+    ends = {Fraction(0), Fraction(1)} if points.repr == "grid" else {0.0, 1.0}
+    axis_pairs = [list(itertools.combinations(sorted(c | ends), 2)) for c in coords]
+    best, best_combo = None, None
+    for combo in itertools.product(*axis_pairs):
+        vol = math.prod(hi - lo for lo, hi in combo)
+        if best is not None and vol <= best:
+            continue
+        if not any(all(lo < x < hi for x, (lo, hi) in zip(row, combo)) for row in rows):
+            best, best_combo = vol, combo
+    witness = Box(
+        tuple(lo for lo, _ in best_combo),
+        tuple(hi for _, hi in best_combo),
+        tuple(lo in c for (lo, _), c in zip(best_combo, coords)),
+        tuple(hi in c for (_, hi), c in zip(best_combo, coords)),
+    )
+    return best, witness
 
 
 def surjection_count(values: int, draws: int) -> int:

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from dispgrid import full_grid, read_point_set, write_point_set
+from dispgrid import PointSet, full_grid, read_point_set, write_point_set
 from dispgrid.cli import (
     EXIT_CHECK_FAIL,
     EXIT_GUARD,
@@ -123,6 +125,14 @@ class TestGenCertifyDisp:
         err = capsys.readouterr().err
         assert "guard exceeded" in err
         assert "items" in err
+
+    def test_disp_guard_refuses_large_real_input(self, tmp_path, capsys):
+        rng = random.Random(17)
+        path = tmp_path / "reals.txt"
+        rows = [(rng.random(), rng.random()) for _ in range(2000)]
+        write_point_set(PointSet.from_reals(2, rows), path)
+        assert main(["disp", "--in", str(path)]) == EXIT_GUARD
+        assert "guard exceeded" in capsys.readouterr().err
 
 
 class TestTabularCommands:

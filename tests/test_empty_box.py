@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dispgrid import Box, PointSet, full_grid, has_empty_box_above, largest_empty_box
 from dispgrid.guards import GuardExceeded
 
-from oracles import shrink_oracle_dispersion
+from oracles import exhaustive_largest_empty_box, shrink_oracle_dispersion
 
 
 class TestBox:
@@ -74,15 +74,43 @@ class TestLargestEmptyBox:
 
     def test_pruned_matches_exhaustive(self):
         rng = random.Random(5)
-        for _ in range(60):
+        for _ in range(120):
             d = rng.choice([1, 2, 3])
-            n = rng.randrange(0, 8)
-            pts = PointSet.from_numerators(
-                2, d, [tuple(rng.randrange(1, 4) for _ in range(d)) for _ in range(n)]
-            )
-            plain = largest_empty_box(pts).volume
-            pruned = largest_empty_box(pts, prune=True).volume
-            assert plain == pruned
+            n = rng.randrange(0, 8 if d < 3 else 6)
+            if rng.random() < 0.5:
+                k = rng.choice([2, 3])
+                pts = PointSet.from_numerators(
+                    k, d, [tuple(rng.randrange(1, 2**k) for _ in range(d)) for _ in range(n)]
+                )
+            else:
+                # exact 0, 1/2 and 1 coordinates exercise open faces on the boundary
+                pts = PointSet.from_reals(
+                    d,
+                    [tuple(rng.choice([rng.random(), 0.0, 0.5, 1.0]) for _ in range(d))
+                     for _ in range(n)],
+                )
+            volume, witness = exhaustive_largest_empty_box(pts)
+            result = largest_empty_box(pts)
+            assert result.volume == volume
+            assert result.witness == witness
+            for t in (volume / 2, volume):
+                found, box = has_empty_box_above(pts, t)
+                assert found == (volume > t)
+                if found:
+                    assert box.volume() > t
+                    assert not any(box.contains(v) for v in pts.values())
+
+    @pytest.mark.parametrize("search", [largest_empty_box, lambda p: has_empty_box_above(p, 0.5)])
+    def test_guard_refuses_before_scanning_points(self, search):
+        rng = random.Random(17)
+        pts = PointSet.from_reals(2, [(rng.random(), rng.random()) for _ in range(2000)])
+        expected = 1
+        for axis in range(2):
+            c = len({0.0, 1.0, *(row[axis] for row in pts.points)})
+            expected *= c * (c - 1) // 2
+        with pytest.raises(GuardExceeded) as info:
+            search(pts)
+        assert info.value.count == expected
 
     def test_shrink_oracle_agreement_real(self):
         rng = random.Random(23)

@@ -169,15 +169,6 @@ class TestShortSides:
         for cls in enumerate_feasible_classes(k, d):
             assert cls.short_sides < threshold
 
-    @pytest.mark.parametrize("k,d", [(2, 1), (2, 2), (3, 1), (3, 2), (2, 3)])
-    def test_pruned_enumeration_identical(self, k, d):
-        plain = [(c.anchor, c.span) for c in enumerate_feasible_classes(k, d)]
-        pruned = [
-            (c.anchor, c.span)
-            for c in enumerate_feasible_classes(k, d, prune_short_sides=True)
-        ]
-        assert plain == pruned
-
 
 class TestEnumeration:
     def test_k2_d1_class_list(self):
