@@ -14,7 +14,11 @@ recorded in output metadata as the ``rng`` tag.
 The certificate checks that the point set intersects the core box of every
 feasible box class; a pass implies every box of volume above 2^-k contains a
 point, i.e. dispersion at most 2^-k. The certificate is sufficient, not
-necessary: a fail does not imply the dispersion exceeds 2^-k.
+necessary: a fail does not imply the dispersion exceeds 2^-k. It reads the
+cached feasible-class table of partition.py and counts the points in every
+core box at once, by inclusion-exclusion over the corners of a prefix-sum
+occupancy table on the grid numerators; the first class in table order
+whose count is zero is the witness.
 """
 
 import itertools
@@ -26,7 +30,7 @@ import numpy as np
 
 from .grid import GRID_REPR, PointSet, require_k
 from .guards import DEFAULT_ENUMERATION_LIMIT, check_enumeration
-from .partition import BoxClass, CoreBox, enumerate_feasible_classes
+from .partition import BoxClass, feasible_class_table
 
 RNG_SCHEME = "pcg64-seedsequence-v1"
 
@@ -51,7 +55,8 @@ class CertificateResult:
     """Outcome of the core-box certificate.
 
     ``passed`` is true exactly when no witness exists; ``classes_checked``
-    counts classes examined (the scan stops at the first miss).
+    is the 1-based enumeration position of the witness, or the number of
+    feasible classes on a pass.
     """
 
     passed: bool
@@ -124,34 +129,61 @@ def full_grid(k, d: int, *, limit: int | None = None) -> PointSet:
     return PointSet.from_numerators(kk, d, rows)
 
 
-def _hits_core(core: CoreBox, rows, row_set, n: int) -> bool:
-    # whichever side is smaller: enumerate the core's grid points, or scan the set
-    if core.grid_point_count <= n:
-        return any(g in row_set for g in core.iter_grid_points())
-    return any(core.contains_numerators(row) for row in rows)
-
-
 def certify_dispersion(points: PointSet, k, *, limit: int | None = None) -> CertificateResult:
     """Sufficient certificate that the dispersion is at most 2^-k.
 
-    Scans all feasible classes and requires a point inside every core box.
-    Pass implies dispersion <= 2^-k exactly; fail carries the first missed
-    class as witness and implies nothing about the true dispersion.
+    Requires a point inside the core box of every feasible class. The points
+    are counted into an occupancy table on the numerators 0 .. 2^k - 1 per
+    axis (numerator 0 never occurs, so slice 0 is the empty cell below
+    anchor 1), its cumulative sums are taken along every axis, and
+    the count in each core [anchor, anchor + span - 1] is read off the 2^d
+    corners by inclusion-exclusion, for all classes at once. Pass implies
+    dispersion <= 2^-k exactly. Fail carries the first class, in the order
+    of enumerate_feasible_classes, whose core is empty as witness, with
+    ``classes_checked`` its 1-based position, the same values a scan that
+    stops at the first miss reports; a fail implies nothing about the true
+    dispersion.
     """
     kk = require_k(k)
     if points.repr != GRID_REPR:
         raise ValueError("certificate requires a grid-valued point set")
     if points.k != kk:
         raise ValueError(f"point set has resolution k={points.k}, certificate asked for k={kk}")
-    rows = points.points
-    row_set = set(rows)
-    n = len(rows)
-    checked = 0
-    for cls in enumerate_feasible_classes(kk, points.dim, limit=limit):
-        checked += 1
-        if not _hits_core(cls.core_box(), rows, row_set, n):
-            return CertificateResult(passed=False, classes_checked=checked, witness=cls)
-    return CertificateResult(passed=True, classes_checked=checked, witness=None)
+    d = points.dim
+    anchors, spans = feasible_class_table(kk, d, limit=limit)
+    shape = (2**kk,) * d
+    coords = np.fromiter(itertools.chain.from_iterable(points.points), dtype=np.intp,
+                         count=points.n * d).reshape(-1, d)
+    table = np.bincount(np.ravel_multi_index(coords.T, shape), minlength=math.prod(shape))
+    table = table.reshape(shape)
+    for axis in range(d):
+        np.cumsum(table, axis=axis, out=table)
+    # visit the 2^d corners in Gray-code order: each step moves one axis of
+    # the flat index between the core's top cell, anchor + span - 1, and the
+    # cell below it, anchor - 1; the sign is the parity of the moved axes
+    strides = np.array(table.strides) // table.itemsize
+    index = (anchors + spans - 1) @ strides
+    moves = [spans[:, axis] * stride for axis, stride in enumerate(strides)]
+    flat = table.ravel()
+    counts = flat[index]
+    gray = 0
+    for step in range(1, 2**d):
+        axis = (step & -step).bit_length() - 1
+        gray ^= 1 << axis
+        if gray >> axis & 1:
+            index -= moves[axis]
+        else:
+            index += moves[axis]
+        if gray.bit_count() % 2:
+            counts -= flat[index]
+        else:
+            counts += flat[index]
+    missed = np.flatnonzero(counts == 0)
+    if not missed.size:
+        return CertificateResult(passed=True, classes_checked=len(anchors), witness=None)
+    i = int(missed[0])
+    witness = BoxClass(k=kk, anchor=tuple(anchors[i].tolist()), span=tuple(spans[i].tolist()))
+    return CertificateResult(passed=False, classes_checked=i + 1, witness=witness)
 
 
 def generate_certified(

@@ -12,13 +12,23 @@ whose grid section has exactly prod(span) points. Hitting every core box
 with a point set therefore certifies that no box of volume above 2^-k is
 empty. This module provides the classification, feasibility, enumeration,
 and the counting formulas entering the union-bound failure estimates.
+
+Within a class's anchor range, anchor <= 2^k - span, the room left of 1 is
+never the binding cap on a side (2^k - anchor + 1 >= span + 1), so
+feasibility depends on the span vector alone: every span is at least 1 and
+prod(span + 1) > 2^(k(d-1)). The feasible classes of one (k, d) are
+therefore built span by span, each feasible span contributing its whole
+anchor block, into one cached read-only table.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
+
+import numpy as np
 
 from .empty_box import Box
 from .grid import GridParams, exact_fraction, require_k
@@ -159,8 +169,14 @@ def classify_box(box: Box, k) -> BoxClass:
     return BoxClass(k=kk, anchor=tuple(anchor), span=tuple(span))
 
 
-def enumerate_feasible_classes(k, d: int, *, limit: int | None = None) -> Iterator[BoxClass]:
-    """All feasible classes at resolution k in dimension d."""
+def feasible_class_table(k, d: int, *, limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Anchors and spans of every feasible class, as two read-only (count, d) arrays.
+
+    Rows are in lexicographic (span, anchor) order: spans in lexicographic
+    order, and each feasible span's anchors in lexicographic order. The
+    enumeration guard is checked on every call, before the cached table is
+    consulted.
+    """
     kk = require_k(k)
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
@@ -168,15 +184,38 @@ def enumerate_feasible_classes(k, d: int, *, limit: int | None = None) -> Iterat
     check_enumeration(
         "box-class enumeration", (m**d) * ((m - 1) ** d), limit, DEFAULT_ENUMERATION_LIMIT
     )
-    vol_floor = m ** (d - 1)
-    for span in itertools.product(range(1, m), repeat=d):
-        anchor_ranges = [range(1, m - s + 1) for s in span]
-        for anchor in itertools.product(*anchor_ranges):
-            num = 1
-            for a, s in zip(anchor, span):
-                num *= min(s + 1, m - a + 1)
-            if num > vol_floor:
-                yield BoxClass(k=kk, anchor=anchor, span=span)
+    return _class_table(kk, d)
+
+
+@functools.lru_cache(maxsize=8)
+def _class_table(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    m = 2**k
+    # every span vector with sides 1 .. 2^k - 1, last axis fastest; whenever
+    # these (m-1)^d rows fit in memory, m^d and so every volume product fits
+    # in int64
+    spans = np.indices((m - 1,) * d).reshape(d, -1).T + 1
+    spans = spans[np.prod(spans + 1, axis=1) > m ** (d - 1)]
+    radix = m - spans  # anchors 1 .. 2^k - span per axis
+    block = np.prod(radix, axis=1)
+    owner = np.repeat(np.arange(len(spans)), block)
+    offset = np.arange(len(owner)) - np.repeat(np.cumsum(block) - block, block)
+    anchors = np.empty((len(owner), d), dtype=spans.dtype)
+    for axis in reversed(range(d)):
+        base = radix[owner, axis]
+        anchors[:, axis] = offset % base + 1
+        offset //= base
+    spans = spans[owner]
+    anchors.flags.writeable = False
+    spans.flags.writeable = False
+    return anchors, spans
+
+
+def enumerate_feasible_classes(k, d: int, *, limit: int | None = None) -> Iterator[BoxClass]:
+    """All feasible classes at resolution k in dimension d, in table order."""
+    anchors, spans = feasible_class_table(k, d, limit=limit)
+    kk = require_k(k)
+    for anchor, span in zip(anchors.tolist(), spans.tolist()):
+        yield BoxClass(k=kk, anchor=tuple(anchor), span=tuple(span))
 
 
 def anchor_count(span, k) -> int:
@@ -231,7 +270,7 @@ class CountAudit:
 
 
 def count_audit(k, d: int, *, limit: int | None = None) -> CountAudit:
-    exact = sum(1 for _ in enumerate_feasible_classes(k, d, limit=limit))
+    exact = len(feasible_class_table(k, d, limit=limit)[0])
     return CountAudit(
         k=require_k(k),
         d=d,

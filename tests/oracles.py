@@ -3,15 +3,16 @@
 Each oracle recomputes a quantity by a different route than the library:
 plain unpruned and shrunken closed-box scans for the dispersion,
 inclusion-exclusion surjection counts for exact failure probabilities, grid
-enumeration for hit probabilities, and classification of a fine mesh of
-boxes for the feasible class set.
+enumeration for hit probabilities, classification of a fine mesh of boxes
+and a per-class feasibility walk for the feasible class set, and a per-class
+core-box scan for the certificate.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from dispgrid import Box, PointSet, classify_box
+from dispgrid import Box, BoxClass, PointSet, classify_box
 
 
 def shrink_oracle_dispersion(points: PointSet, delta: float = 1e-12) -> float:
@@ -134,3 +135,46 @@ def box_in_class(box: Box, cls) -> bool:
         if not (Fraction(a - 1, m) <= Fraction(lo) < Fraction(a, m)):
             return False
     return True
+
+
+def reference_feasible_classes(k: int, d: int):
+    """Feasible classes in (span, anchor) lexicographic order, one BoxClass at a time.
+
+    Walks every span vector with sides 1 .. 2^k - 1 and, per span, every
+    anchor in 1 .. 2^k - span, keeping the classes whose exact rational
+    ``is_feasible`` holds.
+    """
+    m = 2**k
+    for span in itertools.product(range(1, m), repeat=d):
+        for anchor in itertools.product(*(range(1, m - s + 1) for s in span)):
+            cls = BoxClass(k, anchor, span)
+            if cls.is_feasible():
+                yield cls
+
+
+def reference_certify(point_sets, k: int) -> list:
+    """Certificates by a per-class core-box scan that stops at the first miss.
+
+    Takes point sets of one dimension and walks ``reference_feasible_classes``
+    once for all of them, dropping each set at its first class whose core box
+    holds none of its points. Returns one (passed, classes_checked, witness)
+    per set.
+    """
+    results = [None] * len(point_sets)
+    pending = list(range(len(point_sets)))
+    checked = 0
+    for cls in reference_feasible_classes(k, point_sets[0].dim):
+        if not pending:
+            break
+        checked += 1
+        core = cls.core_box()
+        hit = []
+        for i in pending:
+            if any(core.contains_numerators(row) for row in point_sets[i].points):
+                hit.append(i)
+            else:
+                results[i] = (False, checked, cls)
+        pending = hit
+    for i in pending:
+        results[i] = (True, checked, None)
+    return results

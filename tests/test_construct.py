@@ -21,6 +21,9 @@ from dispgrid import (
     wilson_interval,
 )
 from dispgrid.guards import GuardExceeded
+from dispgrid.partition import _class_table
+
+from oracles import reference_certify
 
 
 class TestSampling:
@@ -93,6 +96,38 @@ class TestCertificate:
         with pytest.raises(ValueError):
             certify_dispersion(PointSet.from_reals(1, [(0.5,)]), 2)
 
+    def test_matches_reference_scan(self):
+        # the prefix-sum count reports the reference scan's first miss, or a pass
+        rng = random.Random(31)
+        groups = {}
+        for _ in range(1000):
+            k, d, n = rng.randint(2, 4), rng.randint(1, 3), rng.randint(1, 60)
+            groups.setdefault((k, d), []).append(
+                sample_grid_points(k, d, n, seed=rng.randrange(2**32))
+            )
+        fails = 0
+        for (k, d), sets in sorted(groups.items()):
+            for pts, want in zip(sets, reference_certify(sets, k)):
+                cert = certify_dispersion(pts, k)
+                assert (cert.passed, cert.classes_checked, cert.witness) == want
+                fails += not cert.passed
+        assert 400 < fails < 800
+
+    def test_empty_set_misses_first_class(self):
+        pts = PointSet.from_numerators(2, 2, [])
+        cert = certify_dispersion(pts, 2)
+        assert (cert.passed, cert.classes_checked, cert.witness) == reference_certify([pts], 2)[0]
+        assert cert.classes_checked == 1
+
+    def test_guard_checked_after_caching(self, monkeypatch):
+        pts = full_grid(2, 2)
+        assert certify_dispersion(pts, 2).passed
+        with pytest.raises(GuardExceeded):
+            certify_dispersion(pts, 2, limit=10)
+        monkeypatch.setenv("DISPGRID_ENUM_LIMIT", "10")
+        with pytest.raises(GuardExceeded):
+            certify_dispersion(pts, 2)
+
     def test_soundness_on_random_instances(self):
         # pass implies the exact oracle confirms dispersion <= 2^-k
         rng = random.Random(2024)
@@ -154,6 +189,14 @@ class TestMonteCarlo:
             exact_success = 1 - exact_failure_probability(2, 1, n)
             mc = monte_carlo_success(2, 1, n, trials=600, master_seed=314)
             assert mc.ci_low <= float(exact_success) <= mc.ci_high
+
+    def test_cold_cache_threads_match_serial(self):
+        _class_table.cache_clear()
+        threaded = monte_carlo_success(3, 2, 50, trials=64, master_seed=9, threads=2)
+        _class_table.cache_clear()
+        serial = monte_carlo_success(3, 2, 50, trials=64, master_seed=9, threads=1)
+        assert serial == threaded
+        assert 0 < serial.successes < serial.trials
 
     def test_threads_do_not_change_summary(self):
         serial = monte_carlo_success(2, 2, 64, trials=40, master_seed=5, threads=1)

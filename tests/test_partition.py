@@ -18,8 +18,9 @@ from dispgrid import (
     short_side_threshold,
 )
 from dispgrid.guards import GuardExceeded
+from dispgrid.partition import feasible_class_table
 
-from oracles import box_in_class, classes_from_fine_mesh
+from oracles import box_in_class, classes_from_fine_mesh, reference_feasible_classes
 
 
 def random_large_box(rng, k, d):
@@ -188,9 +189,30 @@ class TestEnumeration:
         enumerated = {(c.anchor, c.span) for c in enumerate_feasible_classes(k, d)}
         assert enumerated == classes_from_fine_mesh(k, d)
 
-    def test_guard(self):
+    @pytest.mark.parametrize(
+        "k,d", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (2, 4), (4, 2), (5, 1)]
+    )
+    def test_matches_reference_walk_in_order(self, k, d):
+        assert list(enumerate_feasible_classes(k, d)) == list(reference_feasible_classes(k, d))
+
+    def test_guard(self, monkeypatch):
+        # the guard holds even once the table is cached
+        feasible_class_table(2, 2)
         with pytest.raises(GuardExceeded):
             list(enumerate_feasible_classes(2, 2, limit=10))
+        with pytest.raises(GuardExceeded):
+            count_audit(2, 2, limit=10)
+        monkeypatch.setenv("DISPGRID_ENUM_LIMIT", "10")
+        with pytest.raises(GuardExceeded):
+            list(enumerate_feasible_classes(2, 2))
+
+    def test_cached_table_is_read_only(self):
+        anchors, spans = feasible_class_table(2, 2)
+        assert feasible_class_table(2, 2)[0] is anchors
+        with pytest.raises(ValueError):
+            anchors[0, 0] = 3
+        with pytest.raises(ValueError):
+            spans[0, 0] = 3
 
     @pytest.mark.parametrize("k,d", [(2, 1), (2, 2), (3, 2)])
     def test_volume_sandwich_on_members(self, k, d):
