@@ -79,16 +79,6 @@ def _eps_value(text: str) -> Fraction:
     return value
 
 
-def _k_value(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"k must be >= 2, got {text}")
-    return value
-
-
 def _positive_int(name: str, minimum: int = 1):
     def parse(text: str) -> int:
         try:
@@ -100,16 +90,6 @@ def _positive_int(name: str, minimum: int = 1):
         return value
 
     return parse
-
-
-def _seed_value(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {text}")
-    return value
 
 
 def _target_value(text: str) -> float:
@@ -137,7 +117,7 @@ def _eps_list(text: str) -> tuple[Fraction, ...]:
 
 def _add_resolution_group(sub, *, required: bool = True):
     group = sub.add_mutually_exclusive_group(required=required)
-    group.add_argument("--k", type=_k_value, help="grid resolution exponent (>= 2)")
+    group.add_argument("--k", type=_positive_int("k", 2), help="grid resolution exponent (>= 2)")
     group.add_argument("--eps", type=_eps_value, help="target dispersion in (0, 1/2)")
 
 
@@ -158,14 +138,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_resolution_group(gen)
     gen.add_argument("--d", type=_positive_int("d"), required=True)
     gen.add_argument("--n", type=_positive_int("n"), required=True)
-    gen.add_argument("--seed", type=_seed_value, required=True)
+    gen.add_argument("--seed", type=_positive_int("seed", 0), required=True)
     gen.add_argument("--max-attempts", type=_positive_int("max-attempts"), default=64)
     gen.add_argument("--out", dest="out_path", required=True)
     gen.add_argument("--enum-limit", type=_positive_int("enum-limit"))
 
     cert = subs.add_parser("certify", help="check a point-set file against the certificate")
     cert.add_argument("--in", dest="in_path", required=True)
-    cert.add_argument("--k", type=_k_value, help="resolution (default: from file header)")
+    cert.add_argument("--k", type=_positive_int("k", 2),
+                      help="resolution (default: from file header)")
     cert.add_argument("--confirm-exact", action="store_true",
                       help="on any outcome also run the exact empty-box oracle")
     cert.add_argument("--enum-limit", type=_positive_int("enum-limit"))
@@ -179,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--d", type=_positive_int("d"), required=True)
     mc.add_argument("--n", type=_positive_int("n"), required=True)
     mc.add_argument("--trials", type=_positive_int("trials"), required=True)
-    mc.add_argument("--seed", type=_seed_value, required=True)
+    mc.add_argument("--seed", type=_positive_int("seed", 0), required=True)
     mc.add_argument("--threads", type=_positive_int("threads"), default=1)
     mc.add_argument("--enum-limit", type=_positive_int("enum-limit"))
     _add_output(mc)
@@ -189,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     minn.add_argument("--d", type=_positive_int("d"), required=True)
     minn.add_argument("--target", type=_target_value, required=True)
     minn.add_argument("--trials", type=_positive_int("trials"), required=True)
-    minn.add_argument("--seed", type=_seed_value, required=True)
+    minn.add_argument("--seed", type=_positive_int("seed", 0), required=True)
     minn.add_argument("--max-n", type=_positive_int("max-n"), default=1 << 20)
     minn.add_argument("--enum-limit", type=_positive_int("enum-limit"))
     _add_output(minn)
@@ -212,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(count)
 
     ineq = subs.add_parser("ineq-check", help="per-axis factor inequality across resolutions")
-    ineq.add_argument("--k-max", type=_k_value, default=20)
+    ineq.add_argument("--k-max", type=_positive_int("k", 2), default=20)
     _add_output(ineq)
 
     return parser

@@ -21,7 +21,6 @@ occupancy table on the grid numerators; the first class in table order
 whose count is zero is the witness.
 """
 
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -106,8 +105,7 @@ def _generator(seed: int, index: int | None = None) -> np.random.Generator:
 
 def _sample(rng: np.random.Generator, k: int, d: int, n: int) -> PointSet:
     # high endpoint exclusive: numerators 1 .. 2^k - 1, unbiased
-    nums = rng.integers(1, 2**k, size=(n, d))
-    return PointSet.from_numerators(k, d, nums.tolist())
+    return PointSet.from_numerators(k, d, rng.integers(1, 2**k, size=(n, d)))
 
 
 def sample_grid_points(k, d: int, n: int, seed: int) -> PointSet:
@@ -125,8 +123,8 @@ def full_grid(k, d: int, *, limit: int | None = None) -> PointSet:
         raise ValueError(f"need d >= 1, got d={d}")
     g = 2**kk - 1
     check_enumeration("full grid", g**d, limit, DEFAULT_ENUMERATION_LIMIT)
-    rows = itertools.product(range(1, 2**kk), repeat=d)
-    return PointSet.from_numerators(kk, d, rows)
+    # row-major order of the index grid is the lexicographic order of the points
+    return PointSet.from_numerators(kk, d, np.indices((g,) * d).reshape(d, -1).T + 1)
 
 
 def certify_dispersion(points: PointSet, k, *, limit: int | None = None) -> CertificateResult:
@@ -152,9 +150,7 @@ def certify_dispersion(points: PointSet, k, *, limit: int | None = None) -> Cert
     d = points.dim
     anchors, spans = feasible_class_table(kk, d, limit=limit)
     shape = (2**kk,) * d
-    coords = np.fromiter(itertools.chain.from_iterable(points.points), dtype=np.intp,
-                         count=points.n * d).reshape(-1, d)
-    table = np.bincount(np.ravel_multi_index(coords.T, shape), minlength=math.prod(shape))
+    table = np.bincount(np.ravel_multi_index(points.points.T, shape), minlength=math.prod(shape))
     table = table.reshape(shape)
     for axis in range(d):
         np.cumsum(table, axis=axis, out=table)

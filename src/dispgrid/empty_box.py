@@ -124,11 +124,11 @@ def _candidate_axes(points: PointSet, limit: int | None):
     otherwise. The guard counts candidate boxes from the per-axis endpoint
     counts alone, so it refuses before any per-point work. Each axis then lists
     (lo, hi, mask) for every endpoint pair in lexicographic order; bit i of mask
-    is set when point i lies strictly inside (lo, hi) on that axis.
+    is set when point i lies strictly inside (lo, hi) on that axis. Also returns
+    the unit and the coordinate columns as Python numbers, so volumes are exact.
     """
-    rows = points.points
     unit = 2**points.k if points.repr == GRID_REPR else 1.0
-    cols = [[row[axis] for row in rows] for axis in range(points.dim)]
+    cols = points.points.T.tolist()
     cands = [sorted({0 * unit, unit, *col}) for col in cols]
     count = math.prod(len(c) * (len(c) - 1) // 2 for c in cands)
     check_enumeration("candidate boxes", count, limit, DEFAULT_ENUMERATION_LIMIT)
@@ -148,7 +148,7 @@ def _candidate_axes(points: PointSet, limit: int | None):
             above = every ^ (below[i] | at[i])
             pairs.extend((lo, values[j], above & below[j]) for j in range(i + 1, len(values)))
         axes.append(pairs)
-    return axes, unit
+    return axes, unit, cols
 
 
 def _scan(axes, unit, n: int, best, *, first: bool = False):
@@ -192,11 +192,11 @@ def _scan(axes, unit, n: int, best, *, first: bool = False):
     return best, found
 
 
-def _witness_box(endpoints, rows, unit) -> Box:
+def _witness_box(endpoints, cols, unit) -> Box:
     """Box for scan-unit endpoints; a face is open exactly where it sits on a coordinate."""
     lower, upper, olo, ohi = [], [], [], []
-    for axis, (lo, hi) in enumerate(endpoints):
-        coordset = {row[axis] for row in rows}
+    for (lo, hi), col in zip(endpoints, cols):
+        coordset = set(col)
         if isinstance(unit, int):
             lower.append(Fraction(lo, unit))
             upper.append(Fraction(hi, unit))
@@ -217,9 +217,9 @@ def largest_empty_box(points: PointSet, *, limit: int | None = None) -> Dispersi
     to the lexicographically smallest witness endpoint vector, as an
     exhaustive scan that keeps only strict improvements would find.
     """
-    axes, unit = _candidate_axes(points, limit)
+    axes, unit, cols = _candidate_axes(points, limit)
     best, endpoints = _scan(axes, unit, points.n, 0 * unit)
-    witness = _witness_box(endpoints, points.points, unit)
+    witness = _witness_box(endpoints, cols, unit)
     volume = Fraction(best, unit**points.dim) if isinstance(unit, int) else best
     return DispersionResult(volume=volume, witness=witness)
 
@@ -235,7 +235,7 @@ def has_empty_box_above(
     threshold, not necessarily a maximal one. The guard is checked first, as
     in ``largest_empty_box``.
     """
-    axes, unit = _candidate_axes(points, limit)
+    axes, unit, cols = _candidate_axes(points, limit)
     if isinstance(unit, int):
         # integer volume numerators beat threshold * 2^(k*d) exactly when they beat its floor
         thr = math.floor(exact_fraction(threshold) * unit**points.dim)
@@ -244,4 +244,4 @@ def has_empty_box_above(
     _, endpoints = _scan(axes, unit, points.n, thr, first=True)
     if endpoints is None:
         return ThresholdWitness(False, None)
-    return ThresholdWitness(True, _witness_box(endpoints, points.points, unit))
+    return ThresholdWitness(True, _witness_box(endpoints, cols, unit))

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+import numpy as np
+
 from .guards import DEFAULT_ENUMERATION_LIMIT, check_enumeration
 
 MIN_K = 2
@@ -85,57 +87,61 @@ def grid_values(k, *, limit: int | None = None) -> list[Fraction]:
     return [Fraction(a, m) for a in range(1, m)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
     """Finite multiset of points in [0,1]^d.
 
-    Grid-valued sets store each coordinate as an integer numerator over the
-    shared denominator 2^k; real-valued sets store float coordinates in
-    [0, 1]. Duplicates are kept; `distinct_count` reports the deduplicated
-    size. Instances are immutable.
+    ``points`` is a read-only ``(n, d)`` numpy array, copied from the input:
+    int64 numerators over the shared denominator 2^k for grid-valued sets,
+    float64 coordinates in [0, 1] for real-valued sets, so numerators must fit
+    in int64. Duplicates are kept; `distinct_count` reports the deduplicated
+    size. Equality is by value; instances are immutable and unhashable.
     """
 
     dim: int
-    points: tuple[tuple, ...]
+    points: np.ndarray
     repr: str
     k: int | None = None
 
     def __post_init__(self):
         if not isinstance(self.dim, int) or self.dim < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.dim!r}")
-        if self.repr not in (GRID_REPR, REAL_REPR):
-            raise ValueError(f"repr must be {GRID_REPR!r} or {REAL_REPR!r}, got {self.repr!r}")
         if self.repr == GRID_REPR:
-            kk = require_k(self.k)
-            m = 2**kk
-            for row in self.points:
-                if len(row) != self.dim:
-                    raise ValueError(f"point {row!r} does not have dimension {self.dim}")
-                for a in row:
-                    if not isinstance(a, int) or not (1 <= a <= m - 1):
-                        raise ValueError(
-                            f"grid numerator {a!r} outside 1 .. {m - 1} (k={kk})"
-                        )
-        else:
+            dtype, low, high = np.int64, 1, 2 ** require_k(self.k) - 1
+        elif self.repr == REAL_REPR:
             if self.k is not None:
                 raise ValueError("real-valued point sets carry no grid resolution")
-            for row in self.points:
-                if len(row) != self.dim:
-                    raise ValueError(f"point {row!r} does not have dimension {self.dim}")
-                for x in row:
-                    if not (0.0 <= x <= 1.0):
-                        raise ValueError(f"coordinate {x!r} outside [0, 1]")
+            dtype, low, high = np.float64, 0.0, 1.0
+        else:
+            raise ValueError(f"repr must be {GRID_REPR!r} or {REAL_REPR!r}, got {self.repr!r}")
+        try:
+            pts = np.array(self.points, dtype=dtype)
+        except OverflowError:
+            raise ValueError("grid numerators must fit in int64") from None
+        if pts.shape == (0,):
+            pts = pts.reshape(0, self.dim)
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise ValueError(f"points of shape {pts.shape} are not rows of dimension {self.dim}")
+        # NaN fails both comparisons
+        if pts.size and not (low <= pts.min() and pts.max() <= high):
+            bad = pts[~((low <= pts) & (pts <= high))][0].item()
+            raise ValueError(f"{self.repr} coordinate {bad!r} outside {low} .. {high}")
+        pts.flags.writeable = False
+        object.__setattr__(self, "points", pts)
+
+    def __eq__(self, other):
+        if not isinstance(other, PointSet):
+            return NotImplemented
+        return ((self.dim, self.repr, self.k) == (other.dim, other.repr, other.k)
+                and np.array_equal(self.points, other.points))
 
     @classmethod
     def from_numerators(cls, k, dim: int, rows) -> "PointSet":
-        kk = require_k(k)
-        pts = tuple(tuple(int(a) for a in row) for row in rows)
-        return cls(dim=dim, points=pts, repr=GRID_REPR, k=kk)
+        return cls(dim=dim, points=rows, repr=GRID_REPR, k=require_k(k))
 
     @classmethod
     def from_reals(cls, dim: int, rows) -> "PointSet":
-        pts = tuple(tuple(float(x) for x in row) for row in rows)
-        return cls(dim=dim, points=pts, repr=REAL_REPR, k=None)
+        return cls(dim=dim, points=rows, repr=REAL_REPR, k=None)
 
     @property
     def n(self) -> int:
@@ -143,13 +149,14 @@ class PointSet:
 
     @property
     def distinct_count(self) -> int:
-        return len(set(self.points))
+        return len(np.unique(self.points, axis=0))
 
     def values(self) -> Iterator[tuple]:
         """Point coordinates as values: Fractions a/2^k for grid, floats for real."""
+        rows = self.points.tolist()
         if self.repr == GRID_REPR:
             m = 2**self.k
-            for row in self.points:
+            for row in rows:
                 yield tuple(Fraction(a, m) for a in row)
         else:
-            yield from self.points
+            yield from map(tuple, rows)

@@ -45,11 +45,8 @@ def write_point_set(points: PointSet, path, *, metadata: dict | None = None) -> 
     if metadata:
         for key, value in metadata.items():
             lines.append(f"# {key}={value}")
-    for row in points.points:
-        if points.repr == GRID_REPR:
-            lines.append(" ".join(str(a) for a in row))
-        else:
-            lines.append(" ".join(repr(x) for x in row))
+    text = str if points.repr == GRID_REPR else repr
+    lines.extend(" ".join(map(text, row)) for row in points.points.tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -69,6 +66,7 @@ def read_point_set(path) -> PointSet:
     n = int(match["n"])
     repr_tag = match["repr"]
 
+    top = 2 ** min(k, 63) - 1  # numerators are stored as int64
     rows = []
     for line_no, line in enumerate(lines[1:], start=2):
         stripped = line.strip()
@@ -83,9 +81,9 @@ def read_point_set(path) -> PointSet:
             except ValueError as exc:
                 raise PointSetParseError(path, line_no, f"bad integer numerator: {exc}") from None
             for a in row:
-                if not (1 <= a <= 2**k - 1):
+                if not (1 <= a <= top):
                     raise PointSetParseError(
-                        path, line_no, f"numerator {a} outside 1 .. {2**k - 1} (k={k})"
+                        path, line_no, f"numerator {a} outside 1 .. {top} (k={k})"
                     )
         else:
             try:
@@ -104,7 +102,7 @@ def read_point_set(path) -> PointSet:
     if repr_tag == GRID_REPR:
         if k < 2:
             raise PointSetParseError(path, 1, f"grid files need k >= 2, got k={k}")
-        return PointSet(dim=d, points=tuple(rows), repr=GRID_REPR, k=k)
+        return PointSet(dim=d, points=rows, repr=GRID_REPR, k=k)
     if k != 0:
         raise PointSetParseError(path, 1, f"real files must carry k=0, got k={k}")
-    return PointSet(dim=d, points=tuple(rows), repr=REAL_REPR, k=None)
+    return PointSet(dim=d, points=rows, repr=REAL_REPR, k=None)

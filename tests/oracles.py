@@ -160,6 +160,7 @@ def reference_certify(point_sets, k: int) -> list:
     holds none of its points. Returns one (passed, classes_checked, witness)
     per set.
     """
+    rows = [points.points.tolist() for points in point_sets]
     results = [None] * len(point_sets)
     pending = list(range(len(point_sets)))
     checked = 0
@@ -170,7 +171,7 @@ def reference_certify(point_sets, k: int) -> list:
         core = cls.core_box()
         hit = []
         for i in pending:
-            if any(core.contains_numerators(row) for row in point_sets[i].points):
+            if any(core.contains_numerators(row) for row in rows[i]):
                 hit.append(i)
             else:
                 results[i] = (False, checked, cls)

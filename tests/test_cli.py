@@ -59,6 +59,25 @@ class TestParseCli:
                      "--seed", "1"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["mc", "--k", "1", "--d", "1", "--n", "3", "--trials", "1", "--seed", "1"],
+             "dispgrid mc: error: argument --k: k must be >= 2, got 1"),
+            (["mc", "--k", "x", "--d", "1", "--n", "3", "--trials", "1", "--seed", "1"],
+             "dispgrid mc: error: argument --k: not an integer: 'x'"),
+            (["ineq-check", "--k-max", "1"],
+             "dispgrid ineq-check: error: argument --k-max: k must be >= 2, got 1"),
+            (["mc", "--k", "2", "--d", "1", "--n", "3", "--trials", "1", "--seed", "-1"],
+             "dispgrid mc: error: argument --seed: seed must be >= 0, got -1"),
+        ],
+    )
+    def test_k_and_seed_error_text(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == message
+
 
 class TestGenCertifyDisp:
     def test_gen_then_certify_then_disp(self, tmp_path, capsys):

@@ -100,6 +100,19 @@ class TestLargestEmptyBox:
                     assert box.volume() > t
                     assert not any(box.contains(v) for v in pts.values())
 
+    def test_exact_when_volumes_overflow_int64(self):
+        # at k=40, d=2 volume numerators run up to 2^80
+        rng = random.Random(40)
+        rows = [(rng.randrange(1, 2**40), rng.randrange(1, 2**40)) for _ in range(6)]
+        pts = PointSet.from_numerators(40, 2, rows)
+        volume, witness = exhaustive_largest_empty_box(pts)
+        result = largest_empty_box(pts)
+        assert type(result.volume) is Fraction
+        assert result.volume == volume
+        assert result.witness == witness
+        assert all(type(x) is Fraction for x in result.witness.lower + result.witness.upper)
+        assert has_empty_box_above(pts, volume / 2).found
+
     @pytest.mark.parametrize("search", [largest_empty_box, lambda p: has_empty_box_above(p, 0.5)])
     def test_guard_refuses_before_scanning_points(self, search):
         rng = random.Random(17)

@@ -1,16 +1,21 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from dispgrid import (
     GridParams,
     PointSet,
+    certify_dispersion,
     epsilon_range,
+    full_grid,
     grid_values,
     k_from_epsilon,
+    read_point_set,
 )
 from dispgrid.guards import GuardExceeded
+from dispgrid.pointset_io import PointSetParseError
 
 
 class TestKFromEpsilon:
@@ -114,3 +119,61 @@ class TestPointSet:
     def test_dimension_zero_rejected(self):
         with pytest.raises(ValueError):
             PointSet.from_numerators(2, 0, [])
+
+
+class TestPointSetArray:
+    def test_points_are_a_read_only_array(self):
+        ps = PointSet.from_numerators(2, 2, [(1, 3), (2, 2)])
+        assert isinstance(ps.points, np.ndarray)
+        assert ps.points.dtype == np.int64 and ps.points.shape == (2, 2)
+        assert PointSet.from_reals(1, [(0.5,)]).points.dtype == np.float64
+        with pytest.raises(ValueError):
+            ps.points[0, 0] = 2
+
+    def test_set_is_a_copy_of_the_callers_array(self):
+        source = np.array(full_grid(2, 2).points)
+        ps = PointSet.from_numerators(2, 2, source)
+        before = certify_dispersion(ps, 2)
+        assert before.passed
+        source[:] = 1
+        assert ps == full_grid(2, 2)
+        assert certify_dispersion(ps, 2) == before
+        reals = np.array([[0.25, 0.5]])
+        rs = PointSet.from_reals(2, reals)
+        reals[0, 0] = 0.75
+        assert rs.points.tolist() == [[0.25, 0.5]]
+
+    def test_equality_by_value(self):
+        grid = PointSet.from_numerators(2, 1, [(1,), (3,)])
+        assert grid == PointSet.from_numerators(2, 1, np.array([[1], [3]]))
+        assert grid != PointSet.from_numerators(2, 1, [(3,), (1,)])
+        assert grid != PointSet.from_numerators(3, 1, [(1,), (3,)])
+        assert grid != PointSet.from_numerators(2, 2, [(1, 1), (3, 3)])
+        assert PointSet.from_reals(1, [(0.25,)]) != PointSet.from_numerators(2, 1, [(1,)])
+        assert PointSet.from_reals(1, [(0.25,)]) == PointSet.from_reals(1, [(0.25,)])
+        assert PointSet.from_numerators(2, 1, []) != PointSet.from_numerators(2, 2, [])
+        assert PointSet.from_reals(1, []) != PointSet.from_reals(2, [])
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(PointSet.from_numerators(2, 1, [(1,)]))
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(ValueError):
+            PointSet.from_numerators(2, 2, [(1, 2), (3,)])
+        with pytest.raises(ValueError):
+            PointSet.from_reals(2, [(0.5, 0.5), (0.5,)])
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            PointSet.from_reals(2, [(0.5, float("nan"))])
+
+    def test_numerator_beyond_int64_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            PointSet.from_numerators(70, 1, [(2**63,)])
+        assert PointSet.from_numerators(70, 1, [(2**63 - 1,)]).n == 1
+        path = tmp_path / "big.txt"
+        path.write_text(f"dispgrid v1 d=1 k=70 n=2 repr=grid\n5\n{2**63}\n")
+        with pytest.raises(PointSetParseError) as info:
+            read_point_set(path)
+        assert info.value.line_no == 3

@@ -26,6 +26,13 @@ class TestRoundTrip:
         write_point_set(ps, path)
         assert read_point_set(path) == ps
 
+    def test_golden_text(self, tmp_path):
+        path = tmp_path / "pts.txt"
+        write_point_set(PointSet.from_numerators(3, 2, [(1, 7), (4, 4)]), path)
+        assert path.read_text() == "dispgrid v1 d=2 k=3 n=2 repr=grid\n1 7\n4 4\n"
+        write_point_set(PointSet.from_reals(2, [(0.1, 1 / 3)]), path)
+        assert path.read_text() == "dispgrid v1 d=2 k=0 n=1 repr=real\n0.1 0.3333333333333333\n"
+
     @given(
         payload=st.integers(2, 4).flatmap(
             lambda k: st.tuples(
