@@ -10,14 +10,22 @@ convention a point lies in a candidate box exactly when it is strictly
 inside on every axis, and the maximum over candidates equals the supremum
 over all boxes.
 
-Both searches run one pruned scan over the candidates in lexicographic
-endpoint order, after an enumeration guard that counts candidates from the
-per-axis endpoint counts alone. Ties resolve to the lexicographically
-smallest witness.
+Both searches share one numpy kernel, run after an enumeration guard that
+counts candidates from the per-axis endpoint counts alone. The points are
+binned into an occupancy tensor over the candidate endpoints; its exclusive
+prefix sums C along every axis give the points strictly inside the endpoint
+index pair (i, j) on one axis as C[j] - C[i+1], so taking that difference
+axis by axis counts the points in every candidate box at once. Boxes are
+evaluated in blocks of consecutive axis-0 pairs in lexicographic endpoint
+order, a block whose volume bound cannot beat the best so far is skipped, and
+the first maximiser is kept, so ties resolve to the lexicographically
+smallest witness. ``exact_failure_probability`` reuses the counting helpers
+with a leading outcome axis.
 
 For grid-valued inputs the whole search runs on integer numerators and the
-result is exact (an arbitrary-precision integer over 2^(k*d)); real-valued
-inputs use float arithmetic.
+result is exact (an arbitrary-precision integer over 2^(k*d); int64 while
+2^(k*d) < 2^63, Python integers beyond); real-valued inputs use float
+arithmetic, with volumes multiplied in axis order.
 """
 
 import math
@@ -25,8 +33,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
+
 from .grid import GRID_REPR, PointSet, exact_fraction
 from .guards import DEFAULT_ENUMERATION_LIMIT, check_enumeration
+
+# Boxes evaluated at once, but never less than one axis-0 endpoint pair (or
+# one outcome): a block's counts and volumes are materialised whole, so this
+# bounds the kernel's temporary arrays and with them its peak memory.
+BLOCK_BOXES = 2**14
 
 
 @dataclass(frozen=True)
@@ -117,94 +132,111 @@ class ThresholdWitness(NamedTuple):
     witness: Box | None
 
 
-def _candidate_axes(points: PointSet, limit: int | None):
-    """Per-axis candidate intervals in scan units, built after the enumeration guard.
+def occupancy_prefix(occupancy: np.ndarray, lead: int = 0) -> np.ndarray:
+    """Exclusive prefix sums of an occupancy tensor along every axis from `lead` on.
 
-    Scan units are integer numerators over 2^k for grid input and floats
-    otherwise. The guard counts candidate boxes from the per-axis endpoint
-    counts alone, so it refuses before any per-point work. Each axis then lists
-    (lo, hi, mask) for every endpoint pair in lexicographic order; bit i of mask
-    is set when point i lies strictly inside (lo, hi) on that axis. Also returns
-    the unit and the coordinate columns as Python numbers, so volumes are exact.
+    Each of those axes gains a leading zero, so entry t along it sums the
+    cells with index below t. Axes before `lead` index a batch of tensors and
+    are kept as they are.
     """
-    unit = 2**points.k if points.repr == GRID_REPR else 1.0
-    cols = points.points.T.tolist()
-    cands = [sorted({0 * unit, unit, *col}) for col in cols]
-    count = math.prod(len(c) * (len(c) - 1) // 2 for c in cands)
+    shape = occupancy.shape[:lead] + tuple(c + 1 for c in occupancy.shape[lead:])
+    prefix = np.zeros(shape, dtype=np.int64)
+    prefix[(slice(None),) * lead + (slice(1, None),) * (occupancy.ndim - lead)] = occupancy
+    for axis in range(lead, occupancy.ndim):
+        np.cumsum(prefix, axis=axis, out=prefix)
+    return prefix
+
+
+def inside_counts(prefix: np.ndarray, pairs, lead: int = 0) -> np.ndarray:
+    """Points strictly inside every box formed from per-axis endpoint index pairs.
+
+    `pairs` holds one (i, j) pair of index arrays per axis of `prefix` from
+    `lead` on. Along each such axis the result has one entry per pair,
+    counting the points whose cell index lies strictly between i and j: the
+    difference C[j] - C[i+1] of the prefix sums, taken one axis at a time.
+    """
+    counts = prefix
+    for axis, (i, j) in enumerate(pairs, lead):
+        counts = counts.take(j, axis=axis) - counts.take(i + 1, axis=axis)
+    return counts
+
+
+def box_volumes(widths) -> np.ndarray:
+    """Volume of every box in the outer product of per-axis widths, multiplied in axis order."""
+    volumes = widths[0]
+    for w in widths[1:]:
+        volumes = np.multiply.outer(volumes, w)
+    return volumes
+
+
+def _unit(points: PointSet):
+    """Scan units: integer numerators over 2^k for grid input, floats otherwise."""
+    return 2**points.k if points.repr == GRID_REPR else 1.0
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values, without ``np.unique``: it imports ``numpy.ma``, ~2 MB resident."""
+    values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
+def _search(points: PointSet, best, limit: int | None, *, first: bool):
+    """Empty candidate box of largest volume strictly above `best`, in scan units.
+
+    The enumeration guard counts candidate boxes from the per-axis endpoint
+    counts before any point is binned. Blocks of consecutive axis-0 endpoint
+    pairs are visited in lexicographic order; a block is skipped when its
+    widest axis-0 pair times unit^(d-1) cannot strictly beat the best so far,
+    and a block's first maximiser replaces the best only on strict
+    improvement, so the result is the lexicographically smallest maximal
+    witness. With `first` set it stops after the first block holding an empty
+    box above `best`. Returns (volume, witness box or None when none beats
+    `best`).
+    """
+    unit = _unit(points)
+    cols = points.points.T
+    if isinstance(unit, int) and unit**points.dim >= 2**63:
+        cols = cols.astype(object)  # volume numerators outgrow int64: use Python integers
+    values = [_distinct(np.concatenate((col, [0, unit]))) for col in cols]
+    count = math.prod(len(v) * (len(v) - 1) // 2 for v in values)
     check_enumeration("candidate boxes", count, limit, DEFAULT_ENUMERATION_LIMIT)
 
-    axes = []
-    for col, values in zip(cols, cands):
-        index = {v: i for i, v in enumerate(values)}
-        at = [0] * len(values)
-        for bit, x in enumerate(col):
-            at[index[x]] |= 1 << bit
-        below = [0]  # below[j]: points with coordinate < values[j]
-        for mask in at[:-1]:
-            below.append(below[-1] | mask)
-        every = below[-1] | at[-1]
-        pairs = []
-        for i, lo in enumerate(values):
-            above = every ^ (below[i] | at[i])
-            pairs.extend((lo, values[j], above & below[j]) for j in range(i + 1, len(values)))
-        axes.append(pairs)
-    return axes, unit, cols
+    cells = [np.searchsorted(v, col) for v, col in zip(values, cols)]
+    shape = tuple(len(v) for v in values)
+    occupancy = np.bincount(np.ravel_multi_index(cells, shape), minlength=math.prod(shape))
+    prefix = occupancy_prefix(occupancy.reshape(shape))
+    pairs = [np.triu_indices(len(v), 1) for v in values]
+    widths = [v[hi] - v[lo] for v, (lo, hi) in zip(values, pairs)]
 
-
-def _scan(axes, unit, n: int, best, *, first: bool = False):
-    """Empty candidate box of largest volume strictly above `best`.
-
-    Visits boxes in lexicographic endpoint order, skips a subtree whose bound
-    vol * unit^remaining cannot strictly beat the best so far, and replaces
-    the best only on strict improvement, so the result is the lexicographically
-    smallest maximal witness. With `first` set it stops at the first box above
-    `best`. Returns (volume, endpoints); endpoints is None when no box beats
-    `best`.
-    """
-    d = len(axes)
-    caps = [unit ** (d - axis) for axis in range(d + 1)]
-    full = (0 * unit, unit)
-    chosen = []
+    cap = unit ** (points.dim - 1)
+    step = max(1, BLOCK_BOXES // math.prod(len(w) for w in widths[1:]))
+    lo0, hi0 = pairs[0]
     found = None
-
-    def visit(axis, vol, mask):
-        nonlocal best, found
-        bound = vol * caps[axis]
-        if bound <= best:
-            return False
-        if mask == 0:
-            # every completion is empty; the full-range one is the subtree's only maximiser
-            best = bound
-            found = chosen + [full] * (d - axis)
-            return first
-        if axis == d:
-            return False
-        for lo, hi, pmask in axes[axis]:
-            chosen.append((lo, hi))
-            stop = visit(axis + 1, vol * (hi - lo), mask & pmask)
-            chosen.pop()
-            if stop:
-                return True
-        return False
-
-    visit(0, caps[d], (1 << n) - 1)
-    visit = None  # break the closure's reference to itself so the masks are freed now, not by gc
-    return best, found
+    for start in range(0, len(widths[0]), step):
+        block = slice(start, start + step)
+        if widths[0][block].max() * cap <= best:
+            continue
+        counts = inside_counts(prefix, [(lo0[block], hi0[block]), *pairs[1:]])
+        empty = counts == 0
+        volumes = np.where(empty, box_volumes([widths[0][block], *widths[1:]]), 0)
+        at = np.unravel_index(np.argmax(volumes), volumes.shape)
+        if empty[at] and volumes[at] > best:
+            best = type(unit)(volumes[at])  # a Python int or float, as the callers expect
+            found = (start + at[0],) + at[1:]
+            if first:
+                break
+    if found is None:
+        return best, None
+    return best, _witness_box(found, values, pairs, cells, unit)
 
 
-def _witness_box(endpoints, cols, unit) -> Box:
-    """Box for scan-unit endpoints; a face is open exactly where it sits on a coordinate."""
+def _witness_box(found, values, pairs, cells, unit) -> Box:
+    """Box for per-axis endpoint pair indices; a face is open exactly on a coordinate."""
     lower, upper, olo, ohi = [], [], [], []
-    for (lo, hi), col in zip(endpoints, cols):
-        coordset = set(col)
-        if isinstance(unit, int):
-            lower.append(Fraction(lo, unit))
-            upper.append(Fraction(hi, unit))
-        else:
-            lower.append(lo)
-            upper.append(hi)
-        olo.append(lo in coordset)
-        ohi.append(hi in coordset)
+    for p, v, (lo, hi), c in zip(found, values, pairs, cells):
+        for ends, flags, end in ((lower, olo, lo[p]), (upper, ohi, hi[p])):
+            ends.append(Fraction(int(v[end]), unit) if isinstance(unit, int) else float(v[end]))
+            flags.append(bool((c == end).any()))
     return Box(tuple(lower), tuple(upper), tuple(olo), tuple(ohi))
 
 
@@ -212,14 +244,13 @@ def largest_empty_box(points: PointSet, *, limit: int | None = None) -> Dispersi
     """Exact dispersion of a point set with a witness box.
 
     Searches every candidate box (per-axis endpoint pairs drawn from the
-    coordinates plus {0, 1}) in one pruned scan; refuses before any per-point
-    work when the candidate count exceeds the enumeration limit. Ties resolve
-    to the lexicographically smallest witness endpoint vector, as an
-    exhaustive scan that keeps only strict improvements would find.
+    coordinates plus {0, 1}) with the prefix-sum kernel; refuses before any
+    per-point work when the candidate count exceeds the enumeration limit.
+    Ties resolve to the lexicographically smallest witness endpoint vector, as
+    an exhaustive scan that keeps only strict improvements would find.
     """
-    axes, unit, cols = _candidate_axes(points, limit)
-    best, endpoints = _scan(axes, unit, points.n, 0 * unit)
-    witness = _witness_box(endpoints, cols, unit)
+    unit = _unit(points)
+    best, witness = _search(points, 0 * unit, limit, first=False)
     volume = Fraction(best, unit**points.dim) if isinstance(unit, int) else best
     return DispersionResult(volume=volume, witness=witness)
 
@@ -230,18 +261,16 @@ def has_empty_box_above(
     """Whether some candidate box with volume strictly above `threshold` is empty.
 
     Equivalent to ``largest_empty_box(points).volume > threshold``. Runs the
-    same pruned scan with the threshold as the starting best and stops at the
-    first empty box above it, so the witness is some empty box above the
-    threshold, not necessarily a maximal one. The guard is checked first, as
-    in ``largest_empty_box``.
+    same blocks with the threshold as the starting best and stops after the
+    first block holding an empty box above it, so the witness is some empty
+    box above the threshold, not necessarily a maximal one. The guard is
+    checked first, as in ``largest_empty_box``.
     """
-    axes, unit, cols = _candidate_axes(points, limit)
+    unit = _unit(points)
     if isinstance(unit, int):
         # integer volume numerators beat threshold * 2^(k*d) exactly when they beat its floor
         thr = math.floor(exact_fraction(threshold) * unit**points.dim)
     else:
         thr = float(threshold)
-    _, endpoints = _scan(axes, unit, points.n, thr, first=True)
-    if endpoints is None:
-        return ThresholdWitness(False, None)
-    return ThresholdWitness(True, _witness_box(endpoints, cols, unit))
+    _, witness = _search(points, thr, limit, first=True)
+    return ThresholdWitness(witness is not None, witness)

@@ -93,9 +93,11 @@ class PointSet:
 
     ``points`` is a read-only ``(n, d)`` numpy array, copied from the input:
     int64 numerators over the shared denominator 2^k for grid-valued sets,
-    float64 coordinates in [0, 1] for real-valued sets, so numerators must fit
-    in int64. Duplicates are kept; `distinct_count` reports the deduplicated
-    size. Equality is by value; instances are immutable and unhashable.
+    float64 coordinates in [0, 1] for real-valued sets, so numerators must be
+    integer values that fit in int64 (a float such as 1.7 is refused, not
+    truncated; 1.0 is accepted). Duplicates are kept; `distinct_count` reports
+    the deduplicated size. Equality is by value; instances are immutable and
+    unhashable.
     """
 
     dim: int
@@ -114,8 +116,17 @@ class PointSet:
             dtype, low, high = np.float64, 0.0, 1.0
         else:
             raise ValueError(f"repr must be {GRID_REPR!r} or {REAL_REPR!r}, got {self.repr!r}")
+        source = np.asarray(self.points)
         try:
-            pts = np.array(self.points, dtype=dtype)
+            if self.repr == GRID_REPR and source.dtype.kind not in "ib":
+                # the cast truncates floats, wraps unsigned values past int64 and
+                # turns NaN or inf into garbage: the comparison catches all three
+                with np.errstate(invalid="ignore"):
+                    pts = source.astype(np.int64)
+                if not np.array_equal(pts, source):
+                    raise ValueError("grid numerators must be integers that fit in int64")
+            else:
+                pts = np.array(source, dtype=dtype)
         except OverflowError:
             raise ValueError("grid numerators must fit in int64") from None
         if pts.shape == (0,):

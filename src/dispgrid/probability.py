@@ -10,14 +10,13 @@ enumerate, computes the exact failure probability as a rational number.
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .empty_box import has_empty_box_above
-from .grid import PointSet, require_k
+from .empty_box import BLOCK_BOXES, box_volumes, inside_counts, occupancy_prefix
+from .grid import require_k
 from .guards import DEFAULT_OUTCOME_LIMIT, check_enumeration
 from .partition import BoxClass, enumerate_feasible_classes
 
@@ -205,9 +204,14 @@ def failure_bound_report(k, d: int, n: int) -> FailureBoundReport:
 def exact_failure_probability(k, d: int, n: int, *, limit: int | None = None) -> Fraction:
     """Exact chance that n i.i.d. uniform grid points leave some box of volume > 2^-k empty.
 
-    Enumerates the ordered outcome space of size (2^k - 1)^(d n) (grouped by
-    point multiset with multinomial weights, which leaves the value
-    unchanged) and tests each outcome with the exact empty-box search.
+    Enumerates the ordered outcome space of size (2^k - 1)^(d n), grouped by
+    point multiset with multinomial weights, which leaves the value unchanged.
+    Every outcome is tested against one endpoint set, the full grid
+    {0, 1/2^k, ..., 1} on each axis: it holds every outcome's own candidate
+    endpoints and each of its open boxes is a genuine box, so an outcome fails
+    exactly when one of its boxes with volume above 2^-k holds no point. The
+    empty-box kernel's counting helpers count the points in every such box for
+    a chunk of multisets at once, with the multiset as a leading axis.
     """
     kk = require_k(k)
     if d < 1 or n < 1:
@@ -216,16 +220,25 @@ def exact_failure_probability(k, d: int, n: int, *, limit: int | None = None) ->
     total = (g**d) ** n
     check_enumeration("failure-probability outcomes", total, limit, DEFAULT_OUTCOME_LIMIT)
 
-    grid_points = list(itertools.product(range(1, 2**kk), repeat=d))
-    threshold = Fraction(1, 2**kk)
-    n_factorial = math.factorial(n)
+    m = 2**kk
+    shape = (m + 1,) * d
+    size = math.prod(shape)
+    lo, hi = np.triu_indices(m + 1, 1)
+    large = box_volumes([hi - lo] * d) > m ** (d - 1)
+    # flat occupancy cell of each grid point, in lexicographic order
+    cells = np.ravel_multi_index(np.indices((g,) * d).reshape(d, -1) + 1, shape)
+    factorials = np.array([math.factorial(i) for i in range(n + 1)], dtype=object)
+    chunk = max(1, BLOCK_BOXES // large.size)
 
     failures = 0
-    for combo in itertools.combinations_with_replacement(grid_points, n):
-        weight = n_factorial
-        for mult in Counter(combo).values():
-            weight //= math.factorial(mult)
-        pts = PointSet.from_numerators(kk, d, combo)
-        if has_empty_box_above(pts, threshold, limit=limit).found:
-            failures += weight
+    multisets = itertools.combinations_with_replacement(range(len(cells)), n)
+    while picks := list(itertools.islice(multisets, chunk)):
+        rows = np.arange(len(picks))[:, None]
+        occupancy = np.bincount((rows * size + cells[picks]).ravel(), minlength=len(picks) * size)
+        occupancy = occupancy.reshape(len(picks), *shape)
+        counts = inside_counts(occupancy_prefix(occupancy, 1), [(lo, hi)] * d, 1)
+        failed = ((counts == 0) & large).reshape(len(picks), -1).any(axis=1)
+        # multinomial weight n! / prod(multiplicity!) of each failing multiset
+        weights = math.factorial(n) // factorials[occupancy[failed]].reshape(-1, size).prod(axis=1)
+        failures += sum(weights)
     return Fraction(failures, total)

@@ -1,8 +1,9 @@
 """Independent oracles used by the test suite.
 
 Each oracle recomputes a quantity by a different route than the library:
-plain unpruned and shrunken closed-box scans for the dispersion,
-inclusion-exclusion surjection counts for exact failure probabilities, grid
+plain unpruned and shrunken closed-box scans and a recursive pruned bitmask
+scan for the dispersion, inclusion-exclusion surjection counts and a
+per-outcome empty-box search for exact failure probabilities, grid
 enumeration for hit probabilities, classification of a fine mesh of boxes
 and a per-class feasibility walk for the feasible class set, and a per-class
 core-box scan for the certificate.
@@ -10,6 +11,7 @@ core-box scan for the certificate.
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 from dispgrid import Box, BoxClass, PointSet, classify_box
@@ -77,6 +79,73 @@ def exhaustive_largest_empty_box(points: PointSet):
     return best, witness
 
 
+def pruned_scan_largest_empty_box(points: PointSet):
+    """Exact dispersion and its witness by a recursive pruned scan over bitmasks.
+
+    Per axis, every candidate endpoint pair (coordinates plus {0, 1}) carries
+    a bitmask of the points strictly inside it; a box's points are the AND of
+    its axes' masks. Boxes are visited in lexicographic endpoint order, a
+    subtree is skipped when vol * unit^remaining cannot strictly beat the best,
+    a point-free prefix is completed with full-range intervals, and only a
+    strict improvement replaces the best, so the witness is the
+    lexicographically first maximiser. Volumes are integer numerators over
+    2^(k*d) for grid input and floats otherwise. Returns (volume, witness box).
+    """
+    unit = 2**points.k if points.repr == "grid" else 1.0
+    cols = points.points.T.tolist()
+    axes = []
+    for col in cols:
+        values = sorted({0 * unit, unit, *col})
+        index = {v: i for i, v in enumerate(values)}
+        at = [0] * len(values)
+        for bit, x in enumerate(col):
+            at[index[x]] |= 1 << bit
+        below = [0]  # below[j]: points with coordinate < values[j]
+        for mask in at[:-1]:
+            below.append(below[-1] | mask)
+        every = below[-1] | at[-1]
+        pairs = []
+        for i, lo in enumerate(values):
+            above = every ^ (below[i] | at[i])
+            pairs.extend((lo, values[j], above & below[j]) for j in range(i + 1, len(values)))
+        axes.append(pairs)
+
+    d = points.dim
+    caps = [unit ** (d - axis) for axis in range(d + 1)]
+    full = (0 * unit, unit)
+    chosen = []
+    best, found = 0 * unit, None
+
+    def visit(axis, vol, mask):
+        nonlocal best, found
+        bound = vol * caps[axis]
+        if bound <= best:
+            return
+        if mask == 0:
+            # every completion is empty; the full-range one is the subtree's only maximiser
+            best = bound
+            found = chosen + [full] * (d - axis)
+            return
+        if axis == d:
+            return
+        for lo, hi, pmask in axes[axis]:
+            chosen.append((lo, hi))
+            visit(axis + 1, vol * (hi - lo), mask & pmask)
+            chosen.pop()
+
+    visit(0, caps[d], (1 << points.n) - 1)
+    scale = (lambda v: Fraction(v, unit)) if points.repr == "grid" else (lambda v: v)
+    coords = [set(col) for col in cols]
+    witness = Box(
+        tuple(scale(lo) for lo, _ in found),
+        tuple(scale(hi) for _, hi in found),
+        tuple(lo in c for (lo, _), c in zip(found, coords)),
+        tuple(hi in c for (_, hi), c in zip(found, coords)),
+    )
+    volume = Fraction(best, unit**d) if points.repr == "grid" else best
+    return volume, witness
+
+
 def surjection_count(values: int, draws: int) -> int:
     """Number of surjections from `draws` labelled draws onto `values` values."""
     return sum(
@@ -93,6 +162,26 @@ def coverage_failure_probability(k: int, n: int) -> Fraction:
     """
     g = 2**k - 1
     return 1 - Fraction(surjection_count(g, n), g**n)
+
+
+def per_outcome_failure_probability(k: int, d: int, n: int) -> Fraction:
+    """Exact failure probability by one empty-box search per point multiset.
+
+    Walks every multiset of n grid points with its multinomial weight, builds
+    its point set and counts it as a failure when the pruned scan finds an
+    empty box of volume above 2^-k.
+    """
+    grid_points = list(itertools.product(range(1, 2**k), repeat=d))
+    threshold = Fraction(1, 2**k)
+    failures = 0
+    for combo in itertools.combinations_with_replacement(grid_points, n):
+        weight = math.factorial(n)
+        for mult in Counter(combo).values():
+            weight //= math.factorial(mult)
+        volume, _ = pruned_scan_largest_empty_box(PointSet.from_numerators(k, d, combo))
+        if volume > threshold:
+            failures += weight
+    return Fraction(failures, (2**k - 1) ** (d * n))
 
 
 def brute_force_hit_probability(core, k: int, d: int) -> Fraction:

@@ -1,13 +1,18 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dispgrid import Box, PointSet, full_grid, has_empty_box_above, largest_empty_box
 from dispgrid.guards import GuardExceeded
 
-from oracles import exhaustive_largest_empty_box, shrink_oracle_dispersion
+from oracles import (
+    exhaustive_largest_empty_box,
+    pruned_scan_largest_empty_box,
+    shrink_oracle_dispersion,
+)
 
 
 class TestBox:
@@ -74,21 +79,23 @@ class TestLargestEmptyBox:
 
     def test_pruned_matches_exhaustive(self):
         rng = random.Random(5)
+        cases = []
+        for d in (1, 2, 3):
+            cases.append(PointSet.from_numerators(rng.choice([2, 3]), d, []))
+            cases.append(PointSet.from_reals(d, []))
         for _ in range(120):
             d = rng.choice([1, 2, 3])
             n = rng.randrange(0, 8 if d < 3 else 6)
             if rng.random() < 0.5:
                 k = rng.choice([2, 3])
-                pts = PointSet.from_numerators(
-                    k, d, [tuple(rng.randrange(1, 2**k) for _ in range(d)) for _ in range(n)]
-                )
+                rows = [tuple(rng.randrange(1, 2**k) for _ in range(d)) for _ in range(n)]
+                cases.append(PointSet.from_numerators(k, d, rows + rows[:2]))
             else:
                 # exact 0, 1/2 and 1 coordinates exercise open faces on the boundary
-                pts = PointSet.from_reals(
-                    d,
-                    [tuple(rng.choice([rng.random(), 0.0, 0.5, 1.0]) for _ in range(d))
-                     for _ in range(n)],
-                )
+                rows = [tuple(rng.choice([rng.random(), 0.0, 0.5, 1.0]) for _ in range(d))
+                        for _ in range(n)]
+                cases.append(PointSet.from_reals(d, rows + rows[:2]))
+        for pts in cases:
             volume, witness = exhaustive_largest_empty_box(pts)
             result = largest_empty_box(pts)
             assert result.volume == volume
@@ -99,6 +106,20 @@ class TestLargestEmptyBox:
                 if found:
                     assert box.volume() > t
                     assert not any(box.contains(v) for v in pts.values())
+
+    @pytest.mark.parametrize("repr_", ["grid", "real"])
+    def test_medium_input_matches_pruned_scan(self, repr_):
+        rng = np.random.default_rng(8)
+        if repr_ == "grid":
+            pts = PointSet.from_numerators(3, 4, rng.integers(1, 8, size=(200, 4)))
+        else:
+            pts = PointSet.from_reals(2, rng.random((50, 2)))
+        volume, witness = pruned_scan_largest_empty_box(pts)
+        result = largest_empty_box(pts)
+        assert result.volume == volume
+        assert result.witness == witness
+        assert has_empty_box_above(pts, volume / 2).found
+        assert not has_empty_box_above(pts, volume).found
 
     def test_exact_when_volumes_overflow_int64(self):
         # at k=40, d=2 volume numerators run up to 2^80

@@ -168,6 +168,12 @@ class TestPointSetArray:
         with pytest.raises(ValueError):
             PointSet.from_reals(2, [(0.5, float("nan"))])
 
+    def test_non_integer_numerators_rejected(self):
+        for rows in ([(1.7,)], np.array([[2.5]]), [(float("nan"),)], [(1e30,)]):
+            with pytest.raises(ValueError):
+                PointSet.from_numerators(2, 1, rows)
+        assert PointSet.from_numerators(2, 1, [(1.0,)]).points.tolist() == [[1]]
+
     def test_numerator_beyond_int64_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             PointSet.from_numerators(70, 1, [(2**63,)])

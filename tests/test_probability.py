@@ -21,7 +21,11 @@ from dispgrid import (
 )
 from dispgrid.guards import GuardExceeded
 
-from oracles import brute_force_hit_probability, coverage_failure_probability
+from oracles import (
+    brute_force_hit_probability,
+    coverage_failure_probability,
+    per_outcome_failure_probability,
+)
 
 
 class TestHitProbability:
@@ -150,6 +154,12 @@ class TestExactFailureProbability:
     def test_small_d2_instance(self):
         # n=1 in d=2 always fails: a single point cannot hit disjoint cores
         assert exact_failure_probability(2, 2, 1) == 1
+
+    @pytest.mark.parametrize(
+        "k,d,n", [(2, 1, 3), (2, 2, 3), (2, 2, 5), (3, 1, 4), (3, 1, 8), (3, 2, 2), (2, 3, 2)]
+    )
+    def test_matches_per_outcome_search(self, k, d, n):
+        assert exact_failure_probability(k, d, n) == per_outcome_failure_probability(k, d, n)
 
     def test_guard(self):
         with pytest.raises(GuardExceeded):
