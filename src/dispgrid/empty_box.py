@@ -19,8 +19,10 @@ axis by axis counts the points in every candidate box at once. Boxes are
 evaluated in blocks of consecutive axis-0 pairs in lexicographic endpoint
 order, a block whose volume bound cannot beat the best so far is skipped, and
 the first maximiser is kept, so ties resolve to the lexicographically
-smallest witness. ``exact_failure_probability`` reuses the counting helpers
-with a leading outcome axis.
+smallest witness. ``batch_has_empty_box_above`` runs the same counting for a
+batch of grid point sets at once, each on its own candidate endpoints, with
+the set as a leading axis; ``exact_failure_probability`` tests its outcomes
+with it.
 
 For grid-valued inputs the whole search runs on integer numerators and the
 result is exact (an arbitrary-precision integer over 2^(k*d); int64 while
@@ -132,7 +134,7 @@ class ThresholdWitness(NamedTuple):
     witness: Box | None
 
 
-def occupancy_prefix(occupancy: np.ndarray, lead: int = 0) -> np.ndarray:
+def _occupancy_prefix(occupancy: np.ndarray, lead: int = 0) -> np.ndarray:
     """Exclusive prefix sums of an occupancy tensor along every axis from `lead` on.
 
     Each of those axes gains a leading zero, so entry t along it sums the
@@ -147,7 +149,7 @@ def occupancy_prefix(occupancy: np.ndarray, lead: int = 0) -> np.ndarray:
     return prefix
 
 
-def inside_counts(prefix: np.ndarray, pairs, lead: int = 0) -> np.ndarray:
+def _inside_counts(prefix: np.ndarray, pairs, lead: int = 0) -> np.ndarray:
     """Points strictly inside every box formed from per-axis endpoint index pairs.
 
     `pairs` holds one (i, j) pair of index arrays per axis of `prefix` from
@@ -161,12 +163,26 @@ def inside_counts(prefix: np.ndarray, pairs, lead: int = 0) -> np.ndarray:
     return counts
 
 
-def box_volumes(widths) -> np.ndarray:
-    """Volume of every box in the outer product of per-axis widths, multiplied in axis order."""
+def _box_volumes(widths, lead: int = 0) -> np.ndarray:
+    """Volume of every box in the outer product of per-axis widths, multiplied in axis order.
+
+    Each width array holds `lead` batch axes followed by one axis of widths;
+    the batch axes are shared, not multiplied out.
+    """
     volumes = widths[0]
     for w in widths[1:]:
-        volumes = np.multiply.outer(volumes, w)
+        spread = w.shape[:lead] + (1,) * (volumes.ndim - lead) + w.shape[lead:]
+        volumes = volumes[..., None] * w.reshape(spread)
     return volumes
+
+
+def _pairs(count: int):
+    """Index pairs i < j of `count` endpoints in lexicographic order.
+
+    Equal to ``np.triu_indices(count, 1)``, at a fraction of its fixed cost.
+    """
+    steps = np.arange(count)
+    return np.nonzero(np.less.outer(steps, steps))
 
 
 def _unit(points: PointSet):
@@ -204,8 +220,8 @@ def _search(points: PointSet, best, limit: int | None, *, first: bool):
     cells = [np.searchsorted(v, col) for v, col in zip(values, cols)]
     shape = tuple(len(v) for v in values)
     occupancy = np.bincount(np.ravel_multi_index(cells, shape), minlength=math.prod(shape))
-    prefix = occupancy_prefix(occupancy.reshape(shape))
-    pairs = [np.triu_indices(len(v), 1) for v in values]
+    prefix = _occupancy_prefix(occupancy.reshape(shape))
+    pairs = [_pairs(len(v)) for v in values]
     widths = [v[hi] - v[lo] for v, (lo, hi) in zip(values, pairs)]
 
     cap = unit ** (points.dim - 1)
@@ -216,9 +232,9 @@ def _search(points: PointSet, best, limit: int | None, *, first: bool):
         block = slice(start, start + step)
         if widths[0][block].max() * cap <= best:
             continue
-        counts = inside_counts(prefix, [(lo0[block], hi0[block]), *pairs[1:]])
+        counts = _inside_counts(prefix, [(lo0[block], hi0[block]), *pairs[1:]])
         empty = counts == 0
-        volumes = np.where(empty, box_volumes([widths[0][block], *widths[1:]]), 0)
+        volumes = np.where(empty, _box_volumes([widths[0][block], *widths[1:]]), 0)
         at = np.unravel_index(np.argmax(volumes), volumes.shape)
         if empty[at] and volumes[at] > best:
             best = type(unit)(volumes[at])  # a Python int or float, as the callers expect
@@ -274,3 +290,58 @@ def has_empty_box_above(
         thr = float(threshold)
     _, witness = _search(points, thr, limit, first=True)
     return ThresholdWitness(witness is not None, witness)
+
+
+def batch_has_empty_box_above(
+    numerators: np.ndarray, unit: int, threshold: int, *, limit: int | None = None
+) -> np.ndarray:
+    """Per point set, whether some box with volume numerator above `threshold` is empty.
+
+    `numerators` is an integer array of shape (sets, n, d): a batch of
+    same-size grid point sets with numerators in 1 .. unit - 1, and volumes
+    are numerators over unit^d. Each set is tested on its own candidate
+    endpoints, its distinct coordinates plus {0, unit} per axis, so the
+    answer for a set is ``has_empty_box_above`` on it alone. The endpoints are
+    stored padded to one count c = min(n, unit - 1) + 2 per axis by repeating
+    `unit`, which adds only zero-width pairs and copies of genuine boxes. The
+    guard counts the C(c, 2)^d candidate boxes of one set before anything is
+    binned. The counting is the same prefix-sum kernel with the set as a
+    leading axis, in blocks of about ``BLOCK_BOXES`` boxes.
+    """
+    sets, n, d = numerators.shape
+    c = min(n, unit - 1) + 2
+    lo, hi = _pairs(c)
+    check_enumeration("candidate boxes", len(lo) ** d, limit, DEFAULT_ENUMERATION_LIMIT)
+
+    rows = np.arange(sets)[:, None]
+    ends = np.broadcast_to(np.array([0, unit]), (sets, 2))
+    flat = np.zeros((sets, n), dtype=np.int64)
+    widths = []
+    for col in np.moveaxis(numerators, 2, 0):
+        values = np.sort(np.concatenate((col, ends), axis=1), axis=1)
+        repeats = np.zeros(values.shape, dtype=bool)
+        repeats[:, 1:] = values[:, 1:] == values[:, :-1]
+        values[repeats] = unit + 1  # sorts after every value, then is clipped back to unit
+        values = np.minimum(np.sort(values, axis=1)[:, :c], unit)
+        # sorted rows offset into disjoint ranges: one searchsorted bins every set
+        offset = rows * (unit + 2)
+        flat = flat * c + np.searchsorted((values + offset).ravel(), col + offset) - rows * c
+        widths.append(values[:, hi] - values[:, lo])
+    if unit**d >= 2**63:
+        widths = [w.astype(object) for w in widths]  # volume numerators outgrow int64
+    occupancy = np.bincount((flat + rows * c**d).ravel(), minlength=sets * c**d)
+    prefix = _occupancy_prefix(occupancy.reshape((sets,) + (c,) * d), 1)
+
+    # blocks of whole sets, or of axis-0 pairs of one set when a set alone exceeds a block
+    step = max(1, BLOCK_BOXES // len(lo) ** d)
+    pair_step = max(1, BLOCK_BOXES // len(lo) ** (d - 1))
+    found = np.zeros(sets, dtype=bool)
+    for start in range(0, sets, step):
+        block = slice(start, start + step)
+        for first in range(0, len(lo), pair_step):
+            part = slice(first, first + pair_step)
+            counts = _inside_counts(prefix[block], [(lo[part], hi[part])] + [(lo, hi)] * (d - 1), 1)
+            volumes = _box_volumes([widths[0][block, part]] + [w[block] for w in widths[1:]], 1)
+            empty_large = (counts == 0) & (volumes > threshold)
+            found[block] |= empty_large.reshape(len(counts), -1).any(axis=1)
+    return found

@@ -15,12 +15,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .empty_box import BLOCK_BOXES, box_volumes, inside_counts, occupancy_prefix
+from .empty_box import batch_has_empty_box_above
 from .grid import require_k
 from .guards import DEFAULT_OUTCOME_LIMIT, check_enumeration
 from .partition import BoxClass, enumerate_feasible_classes
 
 CHAIN_SLACK = 1e-12
+
+# Multisets handed to the empty-box kernel at once; the kernel blocks its own
+# temporaries, so this bounds only the per-chunk arrays: their binning and
+# prefix sums, about 0.5 MB at (k, d, n) = (2, 2, 7).
+OUTCOME_CHUNK = 128
 
 
 def hit_probability(cls: BoxClass) -> Fraction:
@@ -206,12 +211,9 @@ def exact_failure_probability(k, d: int, n: int, *, limit: int | None = None) ->
 
     Enumerates the ordered outcome space of size (2^k - 1)^(d n), grouped by
     point multiset with multinomial weights, which leaves the value unchanged.
-    Every outcome is tested against one endpoint set, the full grid
-    {0, 1/2^k, ..., 1} on each axis: it holds every outcome's own candidate
-    endpoints and each of its open boxes is a genuine box, so an outcome fails
-    exactly when one of its boxes with volume above 2^-k holds no point. The
-    empty-box kernel's counting helpers count the points in every such box for
-    a chunk of multisets at once, with the multiset as a leading axis.
+    The multisets are tested in chunks with ``batch_has_empty_box_above``:
+    each on its own candidate boxes, exactly as one ``has_empty_box_above``
+    call per multiset would, with the same per-multiset candidate guard.
     """
     kk = require_k(k)
     if d < 1 or n < 1:
@@ -221,24 +223,22 @@ def exact_failure_probability(k, d: int, n: int, *, limit: int | None = None) ->
     check_enumeration("failure-probability outcomes", total, limit, DEFAULT_OUTCOME_LIMIT)
 
     m = 2**kk
-    shape = (m + 1,) * d
-    size = math.prod(shape)
-    lo, hi = np.triu_indices(m + 1, 1)
-    large = box_volumes([hi - lo] * d) > m ** (d - 1)
-    # flat occupancy cell of each grid point, in lexicographic order
-    cells = np.ravel_multi_index(np.indices((g,) * d).reshape(d, -1) + 1, shape)
-    factorials = np.array([math.factorial(i) for i in range(n + 1)], dtype=object)
-    chunk = max(1, BLOCK_BOXES // large.size)
+    grid = np.indices((g,) * d).reshape(d, -1).T + 1  # grid point numerators, lexicographic
+    n_factorial = math.factorial(n)
+    ranks = np.arange(n)
 
     failures = 0
-    multisets = itertools.combinations_with_replacement(range(len(cells)), n)
-    while picks := list(itertools.islice(multisets, chunk)):
-        rows = np.arange(len(picks))[:, None]
-        occupancy = np.bincount((rows * size + cells[picks]).ravel(), minlength=len(picks) * size)
-        occupancy = occupancy.reshape(len(picks), *shape)
-        counts = inside_counts(occupancy_prefix(occupancy, 1), [(lo, hi)] * d, 1)
-        failed = ((counts == 0) & large).reshape(len(picks), -1).any(axis=1)
-        # multinomial weight n! / prod(multiplicity!) of each failing multiset
-        weights = math.factorial(n) // factorials[occupancy[failed]].reshape(-1, size).prod(axis=1)
-        failures += sum(weights)
+    multisets = itertools.combinations_with_replacement(range(len(grid)), n)
+    while True:
+        picks = itertools.chain.from_iterable(itertools.islice(multisets, OUTCOME_CHUNK))
+        picks = np.fromiter(picks, dtype=np.int64).reshape(-1, n)
+        if not len(picks):
+            break
+        picks = picks[batch_has_empty_box_above(grid[picks], m, m ** (d - 1), limit=limit)]
+        # multinomial weight n! / prod(multiplicity!): a sorted multiset's product of
+        # multiplicity factorials is the product of each entry's 1-based place in its run
+        starts = np.ones(picks.shape, dtype=bool)
+        starts[:, 1:] = picks[:, 1:] != picks[:, :-1]
+        places = ranks - np.maximum.accumulate(np.where(starts, ranks, 0), axis=1) + 1
+        failures += sum(n_factorial // math.prod(row) for row in places.tolist())
     return Fraction(failures, total)

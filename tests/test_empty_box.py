@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dispgrid import Box, PointSet, full_grid, has_empty_box_above, largest_empty_box
+from dispgrid.empty_box import batch_has_empty_box_above
 from dispgrid.guards import GuardExceeded
 
 from oracles import (
@@ -86,15 +87,18 @@ class TestLargestEmptyBox:
         for _ in range(120):
             d = rng.choice([1, 2, 3])
             n = rng.randrange(0, 8 if d < 3 else 6)
-            if rng.random() < 0.5:
+            grid = rng.random() < 0.5
+            if grid:
                 k = rng.choice([2, 3])
                 rows = [tuple(rng.randrange(1, 2**k) for _ in range(d)) for _ in range(n)]
-                cases.append(PointSet.from_numerators(k, d, rows + rows[:2]))
             else:
                 # exact 0, 1/2 and 1 coordinates exercise open faces on the boundary
                 rows = [tuple(rng.choice([rng.random(), 0.0, 0.5, 1.0]) for _ in range(d))
                         for _ in range(n)]
-                cases.append(PointSet.from_reals(d, rows + rows[:2]))
+            if rng.random() < 0.5:
+                rows += rows[:2]  # about half the sets repeat points
+            pts = PointSet.from_numerators(k, d, rows) if grid else PointSet.from_reals(d, rows)
+            cases.append(pts)
         for pts in cases:
             volume, witness = exhaustive_largest_empty_box(pts)
             result = largest_empty_box(pts)
@@ -120,6 +124,32 @@ class TestLargestEmptyBox:
         assert result.witness == witness
         assert has_empty_box_above(pts, volume / 2).found
         assert not has_empty_box_above(pts, volume).found
+
+    @pytest.mark.parametrize(
+        "k,d,n,sets",
+        # (6, 2, 24): one set exceeds a block, so its axis-0 pairs are split
+        # (40, 2, 3): volume numerators outgrow int64
+        [(2, 1, 3, 150), (3, 2, 4, 150), (3, 2, 12, 60), (2, 3, 2, 150), (6, 2, 24, 4),
+         (40, 2, 3, 20)],
+    )
+    def test_batch_matches_one_search_per_set(self, k, d, n, sets):
+        rng = np.random.default_rng(k * 100 + n)
+        unit = 2**k
+        numerators = rng.integers(1, unit, size=(sets, n, d))
+        numerators[::3, -1] = numerators[::3, 0]  # repeated points
+        sets_ = [PointSet.from_numerators(k, d, rows) for rows in numerators.tolist()]
+        volumes = sorted(largest_empty_box(p).volume * unit**d for p in sets_)
+        median = int(volumes[len(volumes) // 2])
+        for threshold in (unit ** (d - 1), median - 1, median):
+            got = batch_has_empty_box_above(numerators, unit, threshold)
+            want = [has_empty_box_above(p, Fraction(threshold, unit**d)).found for p in sets_]
+            assert got.tolist() == want
+
+    def test_batch_guard_counts_one_padded_set(self):
+        numerators = np.ones((5, 4, 2), dtype=np.int64)
+        with pytest.raises(GuardExceeded) as info:
+            batch_has_empty_box_above(numerators, 8, 0, limit=10)
+        assert info.value.count == 15**2  # c = min(4, 8 - 1) + 2 endpoints per axis
 
     def test_exact_when_volumes_overflow_int64(self):
         # at k=40, d=2 volume numerators run up to 2^80

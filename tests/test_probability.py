@@ -161,6 +161,10 @@ class TestExactFailureProbability:
     def test_matches_per_outcome_search(self, k, d, n):
         assert exact_failure_probability(k, d, n) == per_outcome_failure_probability(k, d, n)
 
+    def test_one_point_at_fine_resolution_always_fails(self):
+        # one point always leaves a box of volume >= 1/2 empty; 16,129 outcomes
+        assert exact_failure_probability(7, 2, 1) == 1
+
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             exact_failure_probability(3, 2, 10)
