@@ -54,7 +54,6 @@ class RunConfig:
     n: int | None = None
     seed: int | None = None
     trials: int | None = None
-    threads: int = 1
     target: float | None = None
     max_attempts: int = 64
     max_n: int | None = None
@@ -161,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--n", type=_positive_int("n"), required=True)
     mc.add_argument("--trials", type=_positive_int("trials"), required=True)
     mc.add_argument("--seed", type=_positive_int("seed", 0), required=True)
-    mc.add_argument("--threads", type=_positive_int("threads"), default=1)
+    mc.add_argument("--threads", type=_positive_int("threads"), help="deprecated, no effect")
     mc.add_argument("--enum-limit", type=_positive_int("enum-limit"))
     _add_output(mc)
 
@@ -228,7 +227,7 @@ _ECHO_KEYS = {
 
 
 def _config_echo(config: RunConfig) -> str:
-    """Canonical parameter echo; excludes execution details such as thread count."""
+    """Canonical parameter echo; excludes execution details such as the output path."""
     parts = {}
     for key in _ECHO_KEYS[config.command]:
         value = getattr(config, key)
@@ -345,8 +344,7 @@ def _run_disp(config: RunConfig) -> int:
 
 def _run_mc(config: RunConfig) -> int:
     summary = monte_carlo_success(
-        config.k, config.d, config.n, config.trials, config.seed,
-        threads=config.threads, limit=config.enum_limit,
+        config.k, config.d, config.n, config.trials, config.seed, limit=config.enum_limit
     )
     columns = [
         "k", "d", "n", "trials", "successes", "success_rate",

@@ -1,4 +1,4 @@
-"""Randomized grid constructions with a sufficient dispersion certificate.
+"""Randomized grid constructions with a dispersion certificate.
 
 Sampling draws every coordinate independently and uniformly from the 2^k - 1
 grid values, using numpy's PCG64 generator whose bounded-integer sampling is
@@ -8,21 +8,24 @@ every derived stream is obtained as
     SeedSequence(master_seed, spawn_key=(index,))
 
 so per-trial and per-attempt results depend only on (master_seed, index) and
-are identical regardless of execution order or thread count. The scheme is
-recorded in output metadata as the ``rng`` tag.
+are identical regardless of execution order or of how trials are grouped
+into chunks. The scheme is recorded in output metadata as the ``rng`` tag.
 
 The certificate checks that the point set intersects the core box of every
 feasible box class; a pass implies every box of volume above 2^-k contains a
-point, i.e. dispersion at most 2^-k. The certificate is sufficient, not
-necessary: a fail does not imply the dispersion exceeds 2^-k. It reads the
-cached feasible-class table of partition.py and counts the points in every
-core box at once, by inclusion-exclusion over the corners of a prefix-sum
-occupancy table on the grid numerators; the first class in table order
-whose count is zero is the witness.
+point, i.e. dispersion at most 2^-k. On a grid set at its own k it is also
+necessary: a fail means dispersion above 2^-k, and a pass means dispersion
+exactly 2^-k (see certify_dispersion). For a real-valued set, or a set from
+another grid rounded onto this one, a fail implies nothing about the true
+dispersion. One kernel reads the cached feasible-class table of
+partition.py and counts the points in every core box by inclusion-exclusion
+over the corners of a prefix-sum occupancy table on the grid numerators,
+for one point set or for a chunk of Monte Carlo trials at once; the first
+class in table order whose count is zero is the witness.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +37,13 @@ from .partition import BoxClass, feasible_class_table
 RNG_SCHEME = "pcg64-seedsequence-v1"
 
 WILSON_Z_95 = 1.959963984540054
+
+# Feasible classes per corner pass of the certificate kernel: a trial stops
+# after the first block that holds an empty core of its own.
+BLOCK_CLASSES = 2**14
+# Bound on the elements of each array of one Monte Carlo chunk (trials times
+# the class block, the occupancy table or the sampled numerators).
+CHUNK_ELEMENTS = 2**16
 
 
 class CertificationError(RuntimeError):
@@ -103,9 +113,13 @@ def _generator(seed: int, index: int | None = None) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _sample(rng: np.random.Generator, k: int, d: int, n: int) -> PointSet:
+def _draw(rng: np.random.Generator, k: int, d: int, n: int) -> np.ndarray:
     # high endpoint exclusive: numerators 1 .. 2^k - 1, unbiased
-    return PointSet.from_numerators(k, d, rng.integers(1, 2**k, size=(n, d)))
+    return rng.integers(1, 2**k, size=(n, d))
+
+
+def _sample(rng: np.random.Generator, k: int, d: int, n: int) -> PointSet:
+    return PointSet.from_numerators(k, d, _draw(rng, k, d, n))
 
 
 def sample_grid_points(k, d: int, n: int, seed: int) -> PointSet:
@@ -127,57 +141,87 @@ def full_grid(k, d: int, *, limit: int | None = None) -> PointSet:
     return PointSet.from_numerators(kk, d, np.indices((g,) * d).reshape(d, -1).T + 1)
 
 
-def certify_dispersion(points: PointSet, k, *, limit: int | None = None) -> CertificateResult:
-    """Sufficient certificate that the dispersion is at most 2^-k.
+def _first_misses(numerators: np.ndarray, k: int, anchors, spans) -> np.ndarray:
+    """Table position of each trial's first feasible class with an empty core.
 
-    Requires a point inside the core box of every feasible class. The points
-    are counted into an occupancy table on the numerators 0 .. 2^k - 1 per
-    axis (numerator 0 never occurs, so slice 0 is the empty cell below
-    anchor 1), its cumulative sums are taken along every axis, and
-    the count in each core [anchor, anchor + span - 1] is read off the 2^d
-    corners by inclusion-exclusion, for all classes at once. Pass implies
-    dispersion <= 2^-k exactly. Fail carries the first class, in the order
-    of enumerate_feasible_classes, whose core is empty as witness, with
-    ``classes_checked`` its 1-based position, the same values a scan that
-    stops at the first miss reports; a fail implies nothing about the true
-    dispersion.
+    ``numerators`` is a (trials, n, d) array of grid numerators; a trial that
+    hits every core gets ``len(anchors)``. The points are counted into one
+    occupancy table on the numerators 0 .. 2^k - 1 per axis (numerator 0
+    never occurs, so slice 0 is the empty cell below anchor 1) with the trial
+    as last axis, so that reading one cell for every trial is one contiguous
+    row, and its cumulative sums are taken along every grid axis. The count
+    in each core [anchor, anchor + span - 1] is read off the 2^d corners by
+    inclusion-exclusion, BLOCK_CLASSES classes at a time; a trial leaves
+    after the block holding its first empty core.
+    """
+    trials, _, d = numerators.shape
+    m = 2**k
+    cells = m**d
+    bins = np.ravel_multi_index(tuple(numerators.transpose(2, 0, 1)), (m,) * d)
+    bins *= trials
+    bins += np.arange(trials)[:, None]
+    table = np.bincount(bins.ravel(), minlength=cells * trials).reshape((m,) * d + (trials,))
+    for axis in range(d):
+        np.cumsum(table, axis=axis, out=table)
+    flat = table.reshape(cells, trials)
+    strides = m ** np.arange(d - 1, -1, -1)
+    first = np.full(trials, len(anchors))
+    live = np.arange(trials)
+    for start in range(0, len(anchors), BLOCK_CLASSES):
+        block_spans = spans[start : start + BLOCK_CLASSES]
+        # visit the 2^d corners in Gray-code order: each step moves one axis
+        # of the cell index between the core's top cell, anchor + span - 1,
+        # and the cell below it, anchor - 1; the sign is the parity of the
+        # moved axes
+        index = (anchors[start : start + BLOCK_CLASSES] + block_spans - 1) @ strides
+        moves = [block_spans[:, axis] * stride for axis, stride in enumerate(strides)]
+        counts = flat.take(index, axis=0)
+        gray = 0
+        for step in range(1, 2**d):
+            axis = (step & -step).bit_length() - 1
+            gray ^= 1 << axis
+            if gray >> axis & 1:
+                index -= moves[axis]
+            else:
+                index += moves[axis]
+            if gray.bit_count() % 2:
+                counts -= flat.take(index, axis=0)
+            else:
+                counts += flat.take(index, axis=0)
+        empty = counts == 0
+        missed = empty.any(axis=0)
+        if missed.any():
+            first[live[missed]] = start + empty[:, missed].argmax(axis=0)
+            live = live[~missed]
+            if not live.size:
+                break
+            flat = flat[:, ~missed]
+    return first
+
+
+def certify_dispersion(points: PointSet, k, *, limit: int | None = None) -> CertificateResult:
+    """Decide whether a grid set at resolution k has dispersion at most 2^-k.
+
+    Requires a point inside the core box of every feasible class, counted
+    for all classes by the certificate kernel. A pass implies dispersion
+    <= 2^-k, in fact exactly 2^-k: the box (0, 2^-k) x (0, 1)^(d-1) holds no
+    grid point. A fail carries as witness the first class, in the order of
+    enumerate_feasible_classes, whose core is empty, with ``classes_checked``
+    its 1-based position, the same values a scan that stops at the first
+    miss reports. A fail implies dispersion above 2^-k: the open box one
+    grid step wider than the empty core on every side holds no point of the
+    set, and its volume prod(span + 1) / 2^(kd) exceeds 2^-k because the
+    class is feasible.
     """
     kk = require_k(k)
     if points.repr != GRID_REPR:
         raise ValueError("certificate requires a grid-valued point set")
     if points.k != kk:
         raise ValueError(f"point set has resolution k={points.k}, certificate asked for k={kk}")
-    d = points.dim
-    anchors, spans = feasible_class_table(kk, d, limit=limit)
-    shape = (2**kk,) * d
-    table = np.bincount(np.ravel_multi_index(points.points.T, shape), minlength=math.prod(shape))
-    table = table.reshape(shape)
-    for axis in range(d):
-        np.cumsum(table, axis=axis, out=table)
-    # visit the 2^d corners in Gray-code order: each step moves one axis of
-    # the flat index between the core's top cell, anchor + span - 1, and the
-    # cell below it, anchor - 1; the sign is the parity of the moved axes
-    strides = np.array(table.strides) // table.itemsize
-    index = (anchors + spans - 1) @ strides
-    moves = [spans[:, axis] * stride for axis, stride in enumerate(strides)]
-    flat = table.ravel()
-    counts = flat[index]
-    gray = 0
-    for step in range(1, 2**d):
-        axis = (step & -step).bit_length() - 1
-        gray ^= 1 << axis
-        if gray >> axis & 1:
-            index -= moves[axis]
-        else:
-            index += moves[axis]
-        if gray.bit_count() % 2:
-            counts -= flat[index]
-        else:
-            counts += flat[index]
-    missed = np.flatnonzero(counts == 0)
-    if not missed.size:
-        return CertificateResult(passed=True, classes_checked=len(anchors), witness=None)
-    i = int(missed[0])
+    anchors, spans = feasible_class_table(kk, points.dim, limit=limit)
+    i = int(_first_misses(points.points[None], kk, anchors, spans)[0])
+    if i == len(anchors):
+        return CertificateResult(passed=True, classes_checked=i, witness=None)
     witness = BoxClass(k=kk, anchor=tuple(anchors[i].tolist()), span=tuple(spans[i].tolist()))
     return CertificateResult(passed=False, classes_checked=i + 1, witness=witness)
 
@@ -224,6 +268,12 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z_95) -> tupl
     return low, high
 
 
+def _trials_per_chunk(k: int, d: int, n: int, classes: int) -> int:
+    """Trials per kernel call, so that each of its arrays stays within CHUNK_ELEMENTS."""
+    per_trial = max(min(classes, BLOCK_CLASSES), 2 ** (k * d), n * d)
+    return max(1, CHUNK_ELEMENTS // per_trial)
+
+
 def monte_carlo_success(
     k,
     d: int,
@@ -237,23 +287,28 @@ def monte_carlo_success(
     """Certificate success rate over independently seeded trials.
 
     Trial i samples with spawn index i, so the summary is a pure function of
-    (master_seed, k, d, n, trials); the reduction counts successes and is
-    insensitive to execution order, making any thread count produce the
-    identical summary.
+    (master_seed, k, d, n, trials). The enumeration guard is checked before
+    any trial is drawn; the trials are then certified in chunks, one
+    certificate kernel call per chunk. ``threads`` is deprecated and has no
+    effect.
     """
     kk = require_k(k)
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-
-    def one_trial(index: int) -> bool:
-        pts = _sample(_generator(master_seed, index), kk, d, n)
-        return certify_dispersion(pts, kk, limit=limit).passed
-
-    if threads <= 1:
-        successes = sum(one_trial(i) for i in range(trials))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            successes = sum(pool.map(one_trial, range(trials)))
+    if threads > 1:
+        warnings.warn(
+            "monte_carlo_success(threads=) is deprecated and has no effect",
+            DeprecationWarning,
+            stacklevel=2,
+        )
+    anchors, spans = feasible_class_table(kk, d, limit=limit)
+    chunk = _trials_per_chunk(kk, d, n, len(anchors))
+    successes = 0
+    for start in range(0, trials, chunk):
+        indices = range(start, min(start + chunk, trials))
+        numerators = np.stack([_draw(_generator(master_seed, i), kk, d, n) for i in indices])
+        first = _first_misses(numerators, kk, anchors, spans)
+        successes += int(np.count_nonzero(first == len(anchors)))
 
     low, high = wilson_interval(successes, trials)
     return MonteCarloSummary(

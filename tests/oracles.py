@@ -5,8 +5,9 @@ plain unpruned and shrunken closed-box scans and a recursive pruned bitmask
 scan for the dispersion, inclusion-exclusion surjection counts and a
 per-outcome empty-box search for exact failure probabilities, grid
 enumeration for hit probabilities, classification of a fine mesh of boxes
-and a per-class feasibility walk for the feasible class set, and a per-class
-core-box scan for the certificate.
+and a per-class feasibility walk for the feasible class set, a per-class
+core-box scan for the certificate, and one certificate per trial for Monte
+Carlo success counts.
 """
 
 import itertools
@@ -14,7 +15,8 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from dispgrid import Box, BoxClass, PointSet, classify_box
+from dispgrid import Box, BoxClass, PointSet, certify_dispersion, classify_box
+from dispgrid.construct import _generator, _sample
 
 
 def shrink_oracle_dispersion(points: PointSet, delta: float = 1e-12) -> float:
@@ -268,3 +270,17 @@ def reference_certify(point_sets, k: int) -> list:
     for i in pending:
         results[i] = (True, checked, None)
     return results
+
+
+def reference_monte_carlo(k: int, d: int, n: int, trials: int, master_seed: int) -> list:
+    """Certificate outcome of every Monte Carlo trial, one trial at a time.
+
+    Trial i samples its own PointSet from spawn index i and is certified on
+    its own, as monte_carlo_success did before trials were certified in
+    chunks; the successes of the first t trials are the sum of the first t
+    outcomes.
+    """
+    return [
+        certify_dispersion(_sample(_generator(master_seed, i), k, d, n), k).passed
+        for i in range(trials)
+    ]

@@ -3,9 +3,11 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dispgrid import (
+    BoxClass,
     CertificationError,
     PointSet,
     SearchLimitExceeded,
@@ -14,16 +16,18 @@ from dispgrid import (
     exact_failure_probability,
     full_grid,
     generate_certified,
+    has_empty_box_above,
     largest_empty_box,
     ln_union_failure_bound,
     monte_carlo_success,
     sample_grid_points,
     wilson_interval,
 )
+from dispgrid import construct
 from dispgrid.guards import GuardExceeded
-from dispgrid.partition import _class_table
+from dispgrid.partition import _class_table, feasible_class_table
 
-from oracles import reference_certify
+from oracles import reference_certify, reference_monte_carlo
 
 
 class TestSampling:
@@ -113,6 +117,70 @@ class TestCertificate:
                 fails += not cert.passed
         assert 400 < fails < 800
 
+    @pytest.mark.parametrize("block", [3, 16, 64])
+    def test_blocks_stop_at_the_reference_miss(self, monkeypatch, block):
+        # with small class blocks, misses land in the first and in later
+        # blocks, and a pass runs every block
+        monkeypatch.setattr(construct, "BLOCK_CLASSES", block)
+        rng = random.Random(block)
+        blocks = set()
+        passes = 0
+        for k, d, n_max in [(2, 2, 40), (2, 3, 80), (3, 2, 160)]:
+            sets = [
+                sample_grid_points(k, d, rng.randint(1, n_max), seed=rng.randrange(2**32))
+                for _ in range(60)
+            ]
+            for pts, want in zip(sets, reference_certify(sets, k)):
+                cert = certify_dispersion(pts, k)
+                assert (cert.passed, cert.classes_checked, cert.witness) == want
+                if cert.passed:
+                    passes += 1
+                else:
+                    blocks.add((cert.classes_checked - 1) // block)
+        assert passes > 0 and 0 in blocks and len(blocks) > 2
+
+    def test_chunk_trials_leave_at_their_own_block(self, monkeypatch):
+        # the class table in a shuffled order puts first misses in every
+        # block, the last one included; each trial of one chunk is checked
+        # against a scan in that order
+        monkeypatch.setattr(construct, "BLOCK_CLASSES", 50)
+        anchors, spans = feasible_class_table(3, 2)
+        order = np.random.default_rng(3).permutation(len(anchors))
+        anchors, spans = anchors[order], spans[order]
+        last_block = (len(anchors) - 1) // 50
+        rng = np.random.default_rng(4)
+        numerators = rng.integers(1, 8, size=(200, 60, 2))
+        numerators[:20] = np.resize(full_grid(3, 2).points, (60, 2))  # these pass
+        cores = [
+            BoxClass(3, tuple(anchor), tuple(span)).core_box()
+            for anchor, span in zip(anchors.tolist(), spans.tolist())
+        ]
+        lo = np.array([core.lo for core in cores])[:, None]
+        hi = np.array([core.hi for core in cores])[:, None]
+        first = construct._first_misses(numerators, 3, anchors, spans)
+        for trial, got in zip(numerators, first.tolist()):
+            hit = ((lo <= trial) & (trial <= hi)).all(axis=2).any(axis=1)
+            assert got == (len(anchors) if hit.all() else int(np.argmin(hit)))
+        blocks = {i // 50 for i in first.tolist() if i < len(anchors)}
+        assert {0, last_block} <= blocks and len(blocks) > 2
+        assert (first == len(anchors)).sum() >= 20
+
+    @pytest.mark.parametrize("k,d,n_max", [(2, 2, 40), (2, 3, 80), (3, 2, 160), (3, 3, 400)])
+    def test_exact_on_grid_input(self, k, d, n_max):
+        # on a grid set at its own k, a fail means an empty box above 2^-k,
+        # and a certified set has dispersion exactly 2^-k
+        rng = random.Random(100 * k + d)
+        threshold = Fraction(1, 2**k)
+        outcomes = Counter()
+        for _ in range(40):
+            pts = sample_grid_points(k, d, rng.randint(1, n_max), seed=rng.randrange(2**32))
+            passed = certify_dispersion(pts, k).passed
+            assert passed == (not has_empty_box_above(pts, threshold).found)
+            if passed:
+                assert largest_empty_box(pts).volume == threshold
+            outcomes[passed] += 1
+        assert outcomes[True] > 0 and outcomes[False] > 0
+
     def test_empty_set_misses_first_class(self):
         pts = PointSet.from_numerators(2, 2, [])
         cert = certify_dispersion(pts, 2)
@@ -192,7 +260,8 @@ class TestMonteCarlo:
 
     def test_cold_cache_threads_match_serial(self):
         _class_table.cache_clear()
-        threaded = monte_carlo_success(3, 2, 50, trials=64, master_seed=9, threads=2)
+        with pytest.warns(DeprecationWarning):
+            threaded = monte_carlo_success(3, 2, 50, trials=64, master_seed=9, threads=2)
         _class_table.cache_clear()
         serial = monte_carlo_success(3, 2, 50, trials=64, master_seed=9, threads=1)
         assert serial == threaded
@@ -200,8 +269,58 @@ class TestMonteCarlo:
 
     def test_threads_do_not_change_summary(self):
         serial = monte_carlo_success(2, 2, 64, trials=40, master_seed=5, threads=1)
-        threaded = monte_carlo_success(2, 2, 64, trials=40, master_seed=5, threads=8)
+        with pytest.warns(DeprecationWarning):
+            threaded = monte_carlo_success(2, 2, 64, trials=40, master_seed=5, threads=8)
         assert serial == threaded
+
+    @pytest.mark.parametrize(
+        "k,d,n,chunk_elements,outcome",
+        [
+            (2, 1, 1, 2**8, "fail"),
+            (2, 1, 3, 2**8, "mixed"),
+            (2, 1, 30, 2**8, "pass"),
+            (2, 2, 20, 2**10, "mixed"),
+            (2, 3, 30, 2**12, "mixed"),
+            (2, 4, 50, construct.CHUNK_ELEMENTS, "mixed"),
+            (3, 1, 20, 2**8, "mixed"),
+            (3, 2, 50, construct.CHUNK_ELEMENTS, "mixed"),
+            (3, 3, 100, construct.CHUNK_ELEMENTS, "mixed"),
+            (3, 4, 200, construct.CHUNK_ELEMENTS, "pass"),
+            (4, 1, 40, 2**10, "mixed"),
+            (4, 2, 200, construct.CHUNK_ELEMENTS, "mixed"),
+            (4, 3, 1, construct.CHUNK_ELEMENTS, "fail"),
+        ],
+    )
+    def test_chunks_match_one_certificate_per_trial(
+        self, monkeypatch, k, d, n, chunk_elements, outcome
+    ):
+        monkeypatch.setattr(construct, "CHUNK_ELEMENTS", chunk_elements)
+        classes = len(feasible_class_table(k, d)[0])
+        chunk = construct._trials_per_chunk(k, d, n, classes)
+        counts = sorted({1, max(chunk - 1, 1), chunk, chunk + 1, 3 * chunk + 2})
+        passes = reference_monte_carlo(k, d, n, counts[-1], master_seed=77)
+        for trials in counts:
+            summary = monte_carlo_success(k, d, n, trials, master_seed=77)
+            assert summary.successes == sum(passes[:trials])
+        kind = "pass" if all(passes) else "fail" if not any(passes) else "mixed"
+        assert kind == outcome
+
+    def test_guard_refuses_before_sampling(self, monkeypatch):
+        calls = []
+
+        def counting(seed, index=None):
+            calls.append(index)
+            return generator(seed, index)
+
+        generator = construct._generator
+        monkeypatch.setattr(construct, "_generator", counting)
+        with pytest.raises(GuardExceeded):
+            monte_carlo_success(2, 2, 10, trials=5, master_seed=1, limit=10)
+        with pytest.raises(GuardExceeded):
+            empirical_min_n(2, 2, target_rate=0.5, trials=5, seed=1, limit=10)
+        assert calls == []
+        monte_carlo_success(2, 2, 10, trials=5, master_seed=1)
+        assert calls == [0, 1, 2, 3, 4]
 
     def test_interval_inside_unit(self):
         mc = monte_carlo_success(2, 1, 3, trials=50, master_seed=1)
