@@ -13,7 +13,6 @@ import io
 import itertools
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,31 +40,6 @@ EXIT_GUARD = 4
 EXIT_IO = 5
 
 FORMATS = ("csv", "jsonl")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated arguments of one CLI invocation."""
-
-    command: str
-    k: int | None = None
-    eps: Fraction | None = None
-    d: int | None = None
-    n: int | None = None
-    seed: int | None = None
-    trials: int | None = None
-    target: float | None = None
-    max_attempts: int = 64
-    max_n: int | None = None
-    k_list: tuple[int, ...] | None = None
-    d_list: tuple[int, ...] | None = None
-    eps_list: tuple[Fraction, ...] | None = None
-    k_max: int | None = None
-    in_path: str | None = None
-    out_path: str | None = None
-    fmt: str = "csv"
-    enum_limit: int | None = None
-    confirm_exact: bool = False
 
 
 def _eps_value(text: str) -> Fraction:
@@ -134,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     gen = subs.add_parser("gen", help="emit a certified point set file")
+    gen.set_defaults(run=_run_gen)
     _add_resolution_group(gen)
     gen.add_argument("--d", type=_positive_int("d"), required=True)
     gen.add_argument("--n", type=_positive_int("n"), required=True)
@@ -143,6 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--enum-limit", type=_positive_int("enum-limit"))
 
     cert = subs.add_parser("certify", help="check a point-set file against the certificate")
+    cert.set_defaults(run=_run_certify)
     cert.add_argument("--in", dest="in_path", required=True)
     cert.add_argument("--k", type=_positive_int("k", 2),
                       help="resolution (default: from file header)")
@@ -151,20 +127,22 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--enum-limit", type=_positive_int("enum-limit"))
 
     disp = subs.add_parser("disp", help="exact dispersion of a point-set file")
+    disp.set_defaults(run=_run_disp)
     disp.add_argument("--in", dest="in_path", required=True)
     disp.add_argument("--enum-limit", type=_positive_int("enum-limit"))
 
     mc = subs.add_parser("mc", help="Monte Carlo certificate success rate")
+    mc.set_defaults(run=_run_mc)
     _add_resolution_group(mc)
     mc.add_argument("--d", type=_positive_int("d"), required=True)
     mc.add_argument("--n", type=_positive_int("n"), required=True)
     mc.add_argument("--trials", type=_positive_int("trials"), required=True)
     mc.add_argument("--seed", type=_positive_int("seed", 0), required=True)
-    mc.add_argument("--threads", type=_positive_int("threads"), help="deprecated, no effect")
     mc.add_argument("--enum-limit", type=_positive_int("enum-limit"))
     _add_output(mc)
 
     minn = subs.add_parser("min-n", help="empirical smallest n reaching a success target")
+    minn.set_defaults(run=_run_min_n)
     _add_resolution_group(minn)
     minn.add_argument("--d", type=_positive_int("d"), required=True)
     minn.add_argument("--target", type=_target_value, required=True)
@@ -175,72 +153,58 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(minn)
 
     bounds = subs.add_parser("bounds", help="sample-size bound table")
+    bounds.set_defaults(run=_run_bounds)
     bounds.add_argument("--eps-list", type=_eps_list, required=True)
     bounds.add_argument("--d-list", type=_int_list("d", 2), required=True)
     _add_output(bounds)
 
     prob = subs.add_parser("prob-audit", help="hit-probability audit over feasible classes")
+    prob.set_defaults(run=_run_prob_audit)
     prob.add_argument("--k-list", type=_int_list("k", 2), required=True)
     prob.add_argument("--d-list", type=_int_list("d", 1), required=True)
     prob.add_argument("--enum-limit", type=_positive_int("enum-limit"))
     _add_output(prob)
 
     count = subs.add_parser("count-audit", help="exact class counts vs. counting formulas")
+    count.set_defaults(run=_run_count_audit)
     count.add_argument("--k-list", type=_int_list("k", 2), required=True)
     count.add_argument("--d-list", type=_int_list("d", 1), required=True)
     count.add_argument("--enum-limit", type=_positive_int("enum-limit"))
     _add_output(count)
 
     ineq = subs.add_parser("ineq-check", help="per-axis factor inequality across resolutions")
+    ineq.set_defaults(run=_run_ineq_check)
     ineq.add_argument("--k-max", type=_positive_int("k", 2), default=20)
     _add_output(ineq)
 
     return parser
 
 
-def parse_cli(argv) -> RunConfig:
-    """Parse and validate argv into a RunConfig; eps is converted to k and both kept."""
+def parse_cli(argv) -> argparse.Namespace:
+    """Parse and validate argv; a given eps is converted to k and both kept."""
     args = build_parser().parse_args(argv)
-    values = vars(args)
-    eps = values.get("eps")
-    k = values.get("k")
-    if eps is not None and k is None:
-        k = k_from_epsilon(eps).k
-    known = set(RunConfig.__dataclass_fields__)
-    payload = {key: val for key, val in values.items() if key in known and val is not None}
-    payload["k"] = k
-    payload["eps"] = eps
-    return RunConfig(**payload)
+    if getattr(args, "eps", None) is not None:
+        args.k = k_from_epsilon(args.eps).k
+    return args
 
 
-_ECHO_KEYS = {
-    "gen": ("k", "eps", "d", "n", "seed", "max_attempts"),
-    "certify": ("k", "in_path"),
-    "disp": ("in_path",),
-    "mc": ("k", "eps", "d", "n", "trials", "seed", "fmt"),
-    "min-n": ("k", "eps", "d", "target", "trials", "seed", "max_n", "fmt"),
-    "bounds": ("eps_list", "d_list", "fmt"),
-    "prob-audit": ("k_list", "d_list", "fmt"),
-    "count-audit": ("k_list", "d_list", "fmt"),
-    "ineq-check": ("k_max", "fmt"),
-}
+# Execution details that do not affect results, left out of the config echo.
+_NOT_ECHOED = {"command", "run", "out_path", "enum_limit", "confirm_exact"}
 
 
-def _config_echo(config: RunConfig) -> str:
-    """Canonical parameter echo; excludes execution details such as the output path."""
-    parts = {}
-    for key in _ECHO_KEYS[config.command]:
-        value = getattr(config, key)
-        if value is None:
+def _config_echo(config: argparse.Namespace) -> str:
+    """Canonical echo of every option that affects results, sorted by name."""
+    parts = []
+    for key, value in sorted(vars(config).items()):
+        if key in _NOT_ECHOED or value is None:
             continue
         if isinstance(value, tuple):
-            parts[key] = ",".join(str(v) for v in value)
-        else:
-            parts[key] = str(value)
-    return " ".join(f"{key}={parts[key]}" for key in sorted(parts))
+            value = ",".join(str(v) for v in value)
+        parts.append(f"{key}={value}")
+    return " ".join(parts)
 
 
-def _meta_lines(config: RunConfig, *, seeded: bool) -> list[str]:
+def _meta_lines(config: argparse.Namespace, *, seeded: bool) -> list[str]:
     lines = [
         f"dispgrid {__version__}",
         f"command: {config.command}",
@@ -265,7 +229,7 @@ def _json_cell(value):
     return value
 
 
-def _write_table(rows, columns, config: RunConfig, *, seeded: bool) -> None:
+def _write_table(rows, columns, config: argparse.Namespace, *, seeded: bool) -> None:
     meta = _meta_lines(config, seeded=seeded)
     buffer = io.StringIO()
     if config.fmt == "csv":
@@ -287,7 +251,7 @@ def _write_table(rows, columns, config: RunConfig, *, seeded: bool) -> None:
         sys.stdout.write(text)
 
 
-def _run_gen(config: RunConfig) -> int:
+def _run_gen(config: argparse.Namespace) -> int:
     try:
         result = generate_certified(
             config.k, config.d, config.n, config.seed,
@@ -313,7 +277,7 @@ def _run_gen(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_certify(config: RunConfig) -> int:
+def _run_certify(config: argparse.Namespace) -> int:
     points = read_point_set(config.in_path)
     if points.repr != GRID_REPR:
         print("certify: certificate requires a grid-valued point set", file=sys.stderr)
@@ -334,7 +298,7 @@ def _run_certify(config: RunConfig) -> int:
     return EXIT_OK if cert.passed else EXIT_CHECK_FAIL
 
 
-def _run_disp(config: RunConfig) -> int:
+def _run_disp(config: argparse.Namespace) -> int:
     points = read_point_set(config.in_path)
     result = largest_empty_box(points, limit=config.enum_limit)
     print(f"dispersion: {result.volume}")
@@ -342,7 +306,7 @@ def _run_disp(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_mc(config: RunConfig) -> int:
+def _run_mc(config: argparse.Namespace) -> int:
     summary = monte_carlo_success(
         config.k, config.d, config.n, config.trials, config.seed, limit=config.enum_limit
     )
@@ -355,7 +319,7 @@ def _run_mc(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_min_n(config: RunConfig) -> int:
+def _run_min_n(config: argparse.Namespace) -> int:
     result = empirical_min_n(
         config.k, config.d, config.target, config.trials, config.seed,
         max_n=config.max_n, limit=config.enum_limit,
@@ -379,7 +343,7 @@ def _run_min_n(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_bounds(config: RunConfig) -> int:
+def _run_bounds(config: argparse.Namespace) -> int:
     columns = [
         "eps", "d", "k", "n_required", "n_logdim", "n_coarse", "n_lineardim",
         "better", "threshold_exceeds_d",
@@ -392,7 +356,7 @@ def _run_bounds(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_prob_audit(config: RunConfig) -> int:
+def _run_prob_audit(config: argparse.Namespace) -> int:
     columns = ["k", "d", "min_hit_probability", "lower_bound", "pass"]
     rows = []
     all_passed = True
@@ -412,7 +376,7 @@ def _run_prob_audit(config: RunConfig) -> int:
     return EXIT_OK if all_passed else EXIT_CHECK_FAIL
 
 
-def _run_count_audit(config: RunConfig) -> int:
+def _run_count_audit(config: argparse.Namespace) -> int:
     columns = ["k", "d", "exact_feasible_count", "anchor_formula_count", "ln_class_count_bound"]
     rows = []
     for k, d in itertools.product(config.k_list, config.d_list):
@@ -422,7 +386,7 @@ def _run_count_audit(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_ineq_check(config: RunConfig) -> int:
+def _run_ineq_check(config: argparse.Namespace) -> int:
     columns = ["k", "lhs_min", "rhs", "margin", "min_j", "pass"]
     rows = []
     all_passed = True
@@ -443,23 +407,10 @@ def _run_ineq_check(config: RunConfig) -> int:
     return EXIT_OK if all_passed else EXIT_CHECK_FAIL
 
 
-_HANDLERS = {
-    "gen": _run_gen,
-    "certify": _run_certify,
-    "disp": _run_disp,
-    "mc": _run_mc,
-    "min-n": _run_min_n,
-    "bounds": _run_bounds,
-    "prob-audit": _run_prob_audit,
-    "count-audit": _run_count_audit,
-    "ineq-check": _run_ineq_check,
-}
-
-
-def run(config: RunConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     """Dispatch a validated config; exceptions map to the documented exit codes."""
     try:
-        return _HANDLERS[config.command](config)
+        return config.run(config)
     except GuardExceeded as exc:
         print(f"{config.command}: guard exceeded: {exc}", file=sys.stderr)
         return EXIT_GUARD

@@ -306,9 +306,13 @@ def batch_has_empty_box_above(
     `unit`, which adds only zero-width pairs and copies of genuine boxes. The
     guard counts the C(c, 2)^d candidate boxes of one set before anything is
     binned. The counting is the same prefix-sum kernel with the set as a
-    leading axis, in blocks of about ``BLOCK_BOXES`` boxes.
+    leading axis, in blocks of about ``BLOCK_BOXES`` boxes. Each set's
+    endpoints are binned at the offset set * (unit + 2), so a batch whose
+    offsets leave the int64 range is refused with ``ValueError``.
     """
     sets, n, d = numerators.shape
+    if sets * (unit + 2) > np.iinfo(np.int64).max:
+        raise ValueError(f"{sets} sets at unit {unit} overflow the int64 binning offsets")
     c = min(n, unit - 1) + 2
     lo, hi = _pairs(c)
     check_enumeration("candidate boxes", len(lo) ** d, limit, DEFAULT_ENUMERATION_LIMIT)

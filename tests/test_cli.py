@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -180,13 +181,10 @@ class TestTabularCommands:
         assert main(args + ["--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_mc_threads_byte_identical(self, tmp_path):
-        base = ["mc", "--k", "2", "--d", "1", "--n", "4", "--trials", "30",
-                "--seed", "9"]
-        out1, out8 = tmp_path / "t1.csv", tmp_path / "t8.csv"
-        assert main(base + ["--threads", "1", "--out", str(out1)]) == EXIT_OK
-        assert main(base + ["--threads", "8", "--out", str(out8)]) == EXIT_OK
-        assert out1.read_bytes() == out8.read_bytes()
+    def test_mc_threads_flag_removed(self, capsys):
+        assert main(["mc", "--k", "2", "--d", "1", "--n", "4", "--trials", "30",
+                     "--seed", "9", "--threads", "2"]) == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     def test_bounds_table(self, tmp_path):
         out = tmp_path / "bounds.csv"
@@ -240,3 +238,101 @@ class TestGenMetadataReproducibility:
         assert main(args + ["--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
         assert read_point_set(out1) == read_point_set(out2)
+
+
+GOLDEN = {
+    "gen": (
+        ["gen", "--eps", "0.25", "--d", "1", "--n", "8", "--seed", "3",
+         "--enum-limit", "1000", "--out", "{tmp}/pts.txt"],
+        "certified 8 points (distinct 3) with dispersion <= 1/4 after 1 attempt(s): {tmp}/pts.txt\n"
+        "dispgrid v1 d=1 k=2 n=8 repr=grid\n"
+        "# version=0.1.0\n"
+        "# config=d=1 eps=1/4 k=2 max_attempts=64 n=8 seed=3\n"
+        "# rng=pcg64-seedsequence-v1\n"
+        "# attempts=1\n"
+        "# distinct=3\n"
+        "# certified_dispersion_at_most=1/4\n"
+        "2\n2\n1\n2\n1\n3\n1\n2\n",
+    ),
+    "certify": (
+        ["certify", "--in", "{tmp}/grid.txt", "--confirm-exact", "--enum-limit", "1000"],
+        "pass: all 27 core boxes hit; dispersion <= 1/4\n"
+        "exact dispersion: 1/4 witness: [0,1/4) x [0,1]\n",
+    ),
+    "disp": (
+        ["disp", "--in", "{tmp}/grid.txt", "--enum-limit", "1000"],
+        "dispersion: 1/4\n"
+        "witness: [0,1/4) x [0,1]\n",
+    ),
+    "mc": (
+        ["mc", "--eps", "0.3", "--d", "1", "--n", "4", "--trials", "30", "--seed", "9",
+         "--enum-limit", "1000"],
+        "# dispgrid 0.1.0\n"
+        "# command: mc\n"
+        "# config: d=1 eps=3/10 fmt=csv k=2 n=4 seed=9 trials=30\n"
+        "# rng: pcg64-seedsequence-v1\n"
+        "k,d,n,trials,successes,success_rate,ci_low,ci_high,master_seed\n"
+        "2,1,4,30,10,0.3333333333333333,0.19230498083676134,0.5121994835545616,9\n",
+    ),
+    "min-n": (
+        ["min-n", "--k", "2", "--d", "1", "--target", "0.5", "--trials", "50", "--seed", "8",
+         "--max-n", "64", "--format", "jsonl"],
+        '{"meta": ["dispgrid 0.1.0", "command: min-n", '
+        '"config: d=1 fmt=jsonl k=2 max_n=64 seed=8 target=0.5 trials=50", '
+        '"rng: pcg64-seedsequence-v1"]}\n'
+        '{"d": 1, "k": 2, "n_required": 1536, "n_star": 5, "rate_at_n_star": 0.74, '
+        '"rate_below": 0.46, "target": 0.5, "trials": 50, "within_required": true}\n',
+    ),
+    "bounds": (
+        ["bounds", "--eps-list", "0.25", "--d-list", "2", "--out", "{tmp}/b.csv"],
+        "# dispgrid 0.1.0\n"
+        "# command: bounds\n"
+        "# config: d_list=2 eps_list=1/4 fmt=csv\n"
+        "eps,d,k,n_required,n_logdim,n_coarse,n_lineardim,better,threshold_exceeds_d\n"
+        "1/4,2,2,2048,18432.0,32768.0,1536.0,lineardim,true\n",
+    ),
+    "prob-audit": (
+        ["prob-audit", "--k-list", "2", "--d-list", "1,2", "--enum-limit", "1000",
+         "--format", "jsonl"],
+        '{"meta": ["dispgrid 0.1.0", "command: prob-audit", '
+        '"config: d_list=1,2 fmt=jsonl k_list=2"]}\n'
+        '{"d": 1, "k": 2, "lower_bound": "1/64", "min_hit_probability": "1/3", "pass": true}\n'
+        '{"d": 2, "k": 2, "lower_bound": "1/64", "min_hit_probability": "2/9", "pass": true}\n',
+    ),
+    "count-audit": (
+        ["count-audit", "--k-list", "2", "--d-list", "1,2", "--enum-limit", "1000",
+         "--format", "jsonl", "--out", "{tmp}/c.jsonl"],
+        '{"meta": ["dispgrid 0.1.0", "command: count-audit", '
+        '"config: d_list=1,2 fmt=jsonl k_list=2"]}\n'
+        '{"anchor_formula_count": 6, "d": 1, "exact_feasible_count": 6, "k": 2, '
+        '"ln_class_count_bound": 16.635532333438686}\n'
+        '{"anchor_formula_count": 36, "d": 2, "exact_feasible_count": 27, "k": 2, '
+        '"ln_class_count_bound": 22.18070977791825}\n',
+    ),
+    "ineq-check": (
+        ["ineq-check", "--k-max", "2"],
+        "# dispgrid 0.1.0\n"
+        "# command: ineq-check\n"
+        "# config: fmt=csv k_max=2\n"
+        "k,lhs_min,rhs,margin,min_j,pass\n"
+        "2,0.2222222222222222,0.1640625,0.05815972222222221,2,true\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN)
+def test_golden_output(command, tmp_path, capsys):
+    """Full output of one run per command: stdout, then the file written by --out.
+
+    The config echo holds every option that affects results and none of the
+    execution details (--out, --enum-limit, --confirm-exact); an --eps run
+    echoes both eps and the k derived from it.
+    """
+    argv, expected = GOLDEN[command]
+    write_point_set(full_grid(2, 2), tmp_path / "grid.txt")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert main(argv) == EXIT_OK
+    text = capsys.readouterr().out
+    if "--out" in argv:
+        text += Path(argv[argv.index("--out") + 1]).read_text()
+    assert text.replace(str(tmp_path), "{tmp}") == expected

@@ -151,6 +151,12 @@ class TestLargestEmptyBox:
             batch_has_empty_box_above(numerators, 8, 0, limit=10)
         assert info.value.count == 15**2  # c = min(4, 8 - 1) + 2 endpoints per axis
 
+    def test_batch_refuses_offsets_beyond_int64(self):
+        numerators = np.array([[[1], [2], [3]]] * 4)
+        with pytest.raises(ValueError, match="4 sets at unit 4611686018427387904 overflow"):
+            batch_has_empty_box_above(numerators, 2**62, 2**61)
+        assert batch_has_empty_box_above(numerators[:1], 2**62, 2**61).tolist() == [True]
+
     def test_exact_when_volumes_overflow_int64(self):
         # at k=40, d=2 volume numerators run up to 2^80
         rng = random.Random(40)
