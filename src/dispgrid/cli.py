@@ -215,6 +215,11 @@ def _meta_lines(config: argparse.Namespace, *, seeded: bool) -> list[str]:
     return lines
 
 
+def _print_meta(config: argparse.Namespace) -> None:
+    for line in _meta_lines(config, seeded=False):
+        print(f"# {line}")
+
+
 def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -284,14 +289,17 @@ def _run_certify(config: argparse.Namespace) -> int:
         return EXIT_IO
     k = config.k if config.k is not None else points.k
     cert = certify_dispersion(points, k, limit=config.enum_limit)
+    _print_meta(config)
     if cert.passed:
         print(f"pass: all {cert.classes_checked} core boxes hit; dispersion <= 1/{2**k}")
     else:
         witness = cert.witness
+        box = witness.empty_box()
         print(
             f"fail: core box of class anchor={witness.anchor} span={witness.span} "
             f"missed after {cert.classes_checked} classes"
         )
+        print(f"empty box: {box.format_text()} volume: {box.volume()}")
     if config.confirm_exact:
         exact = largest_empty_box(points, limit=config.enum_limit)
         print(f"exact dispersion: {exact.volume} witness: {exact.witness.format_text()}")
@@ -301,6 +309,7 @@ def _run_certify(config: argparse.Namespace) -> int:
 def _run_disp(config: argparse.Namespace) -> int:
     points = read_point_set(config.in_path)
     result = largest_empty_box(points, limit=config.enum_limit)
+    _print_meta(config)
     print(f"dispersion: {result.volume}")
     print(f"witness: {result.witness.format_text()}")
     return EXIT_OK

@@ -21,8 +21,8 @@ order, a block whose volume bound cannot beat the best so far is skipped, and
 the first maximiser is kept, so ties resolve to the lexicographically
 smallest witness. ``batch_has_empty_box_above`` runs the same counting for a
 batch of grid point sets at once, each on its own candidate endpoints, with
-the set as a leading axis; ``exact_failure_probability`` tests its outcomes
-with it.
+the set as a leading axis; ``exact_failure_probability`` tests with it each
+support (set of distinct grid points) of its outcomes once.
 
 For grid-valued inputs the whole search runs on integer numerators and the
 result is exact (an arbitrary-precision integer over 2^(k*d); int64 while

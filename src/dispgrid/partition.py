@@ -133,6 +133,20 @@ class BoxClass:
         hi = tuple(a + s - 1 for a, s in zip(self.anchor, self.span))
         return CoreBox(k=self.k, lo=self.anchor, hi=hi)
 
+    def empty_box(self) -> Box:
+        """The open box prod((anchor - 1)/2^k, (anchor + span)/2^k), the core widened by one grid step.
+
+        Its grid points are exactly the core's, so a grid point set that
+        misses the core leaves this box empty; its volume prod(span + 1)/2^(kd)
+        exceeds 2^-k.
+        """
+        if not self.is_feasible():
+            raise ValueError(f"infeasible class has no empty box: {self}")
+        m = 2**self.k
+        lower = [Fraction(a - 1, m) for a in self.anchor]
+        upper = [Fraction(a + s, m) for a, s in zip(self.anchor, self.span)]
+        return Box.open_box(lower, upper)
+
 
 def short_side_threshold(k) -> float:
     """Strict upper bound ln(2) * k * 2^k on the short-side count of any feasible class."""

@@ -6,6 +6,10 @@ uniformly over feasible classes. Chaining that bound through a union over
 all classes gives computable failure bounds for random point sets; this
 module evaluates them in log space and, for instances small enough to
 enumerate, computes the exact failure probability as a rational number.
+Whether a point set leaves a large box empty depends only on its distinct
+points, so the exact value tests each support (set of distinct grid points)
+once and weights it by the number of ordered outcomes with exactly that
+support, a surjection count.
 """
 
 import itertools
@@ -23,9 +27,9 @@ from .partition import BoxClass, enumerate_feasible_classes
 
 CHAIN_SLACK = 1e-12
 
-# Multisets handed to the empty-box kernel at once; the kernel blocks its own
-# temporaries, so this bounds only the per-chunk arrays: their binning and
-# prefix sums, about 0.5 MB at (k, d, n) = (2, 2, 7).
+# Supports (padded to n points) handed to the empty-box kernel at once; the
+# kernel blocks its own temporaries, so this bounds only the per-chunk arrays:
+# their binning and prefix sums, about 0.5 MB at (k, d, n) = (2, 2, 7).
 OUTCOME_CHUNK = 128
 
 
@@ -210,11 +214,16 @@ def failure_bound_report(k, d: int, n: int) -> FailureBoundReport:
 def exact_failure_probability(k, d: int, n: int, *, limit: int | None = None) -> Fraction:
     """Exact chance that n i.i.d. uniform grid points leave some box of volume > 2^-k empty.
 
-    Enumerates the ordered outcome space of size (2^k - 1)^(d n), grouped by
-    point multiset with multinomial weights, which leaves the value unchanged.
-    The multisets are tested in chunks with ``batch_has_empty_box_above``:
-    each on its own candidate boxes, exactly as one ``has_empty_box_above``
-    call per multiset would, with the same per-multiset candidate guard.
+    Sums over the ordered outcome space of size (2^k - 1)^(d n), grouped by
+    support: the set of distinct points an outcome holds. Repeated points
+    never change which boxes are empty, so each support of s points is tested
+    once and counts for the surj(n, s) = sum_j (-1)^j C(s, j) (s - j)^n
+    ordered outcomes whose distinct points are exactly it. The supports are
+    tested in chunks with ``batch_has_empty_box_above``, each padded to n
+    points by repeating its first point: each on its own candidate boxes,
+    exactly as one ``has_empty_box_above`` call per outcome would, with the
+    same per-outcome candidate guard. The outcome guard counts the ordered
+    outcomes, not the supports.
     """
     kk = require_k(k)
     if d < 1 or n < 1:
@@ -225,21 +234,18 @@ def exact_failure_probability(k, d: int, n: int, *, limit: int | None = None) ->
 
     m = 2**kk
     grid = full_grid(kk, d, limit=limit).points
-    n_factorial = math.factorial(n)
-    ranks = np.arange(n)
 
+    top = min(n, len(grid))
+    # surj(n, s), the ordered n-tuples whose distinct points are exactly one s-point support
+    weights = [sum((-1) ** j * math.comb(s, j) * (s - j) ** n for j in range(s + 1))
+               for s in range(top + 1)]
+    supports = itertools.chain.from_iterable(
+        itertools.combinations(range(len(grid)), s) for s in range(1, top + 1)
+    )
     failures = 0
-    multisets = itertools.combinations_with_replacement(range(len(grid)), n)
-    while True:
-        picks = itertools.chain.from_iterable(itertools.islice(multisets, OUTCOME_CHUNK))
-        picks = np.fromiter(picks, dtype=np.int64).reshape(-1, n)
-        if not len(picks):
-            break
-        picks = picks[batch_has_empty_box_above(grid[picks], m, m ** (d - 1), limit=limit)]
-        # multinomial weight n! / prod(multiplicity!): a sorted multiset's product of
-        # multiplicity factorials is the product of each entry's 1-based place in its run
-        starts = np.ones(picks.shape, dtype=bool)
-        starts[:, 1:] = picks[:, 1:] != picks[:, :-1]
-        places = ranks - np.maximum.accumulate(np.where(starts, ranks, 0), axis=1) + 1
-        failures += sum(n_factorial // math.prod(row) for row in places.tolist())
+    while chunk := list(itertools.islice(supports, OUTCOME_CHUNK)):
+        padded = itertools.chain.from_iterable(p + p[:1] * (n - len(p)) for p in chunk)
+        picks = np.fromiter(padded, dtype=np.int64, count=len(chunk) * n).reshape(-1, n)
+        found = batch_has_empty_box_above(grid[picks], m, m ** (d - 1), limit=limit)
+        failures += sum(weights[len(p)] for p, hit in zip(chunk, found.tolist()) if hit)
     return Fraction(failures, total)

@@ -110,6 +110,17 @@ class TestGenCertifyDisp:
         assert "fail" in captured
         assert "exact dispersion:" in captured
 
+    def test_certify_fail_prints_empty_box(self, tmp_path, capsys):
+        path = tmp_path / "one.txt"
+        path.write_text("dispgrid v1 d=2 k=2 n=1 repr=grid\n1 1\n")
+        assert main(["certify", "--in", str(path)]) == EXIT_CHECK_FAIL
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["# dispgrid 0.1.0", "# command: certify"]
+        assert lines[3:] == [
+            "fail: core box of class anchor=(1, 2) span=(1, 2) missed after 2 classes",
+            "empty box: (0,1/2) x (1/4,1) volume: 3/8",
+        ]
+
     def test_certify_uses_header_k(self, tmp_path, capsys):
         path = tmp_path / "grid.txt"
         write_point_set(full_grid(2, 2), path)
@@ -256,11 +267,17 @@ GOLDEN = {
     ),
     "certify": (
         ["certify", "--in", "{tmp}/grid.txt", "--confirm-exact", "--enum-limit", "1000"],
+        "# dispgrid 0.1.0\n"
+        "# command: certify\n"
+        "# config: in_path={tmp}/grid.txt\n"
         "pass: all 27 core boxes hit; dispersion <= 1/4\n"
         "exact dispersion: 1/4 witness: [0,1/4) x [0,1]\n",
     ),
     "disp": (
         ["disp", "--in", "{tmp}/grid.txt", "--enum-limit", "1000"],
+        "# dispgrid 0.1.0\n"
+        "# command: disp\n"
+        "# config: in_path={tmp}/grid.txt\n"
         "dispersion: 1/4\n"
         "witness: [0,1/4) x [0,1]\n",
     ),

@@ -10,11 +10,13 @@ from dispgrid import (
     BoxClass,
     anchor_count,
     anchor_formula_count,
+    certify_dispersion,
     classify_box,
     count_audit,
     enumerate_feasible_classes,
     ln_class_count_bound,
     ln_span_count_bound,
+    sample_grid_points,
     short_side_threshold,
 )
 from dispgrid.guards import GuardExceeded
@@ -151,6 +153,42 @@ class TestCoreBox:
                 for nums in core.iter_grid_points():
                     point = tuple(Fraction(a, m) for a in nums)
                     assert box.contains(point)
+
+
+class TestEmptyBox:
+    def test_infeasible_class_has_no_empty_box(self):
+        with pytest.raises(ValueError):
+            BoxClass(2, (3,), (3,)).empty_box()
+
+    @pytest.mark.parametrize("k,d", [(2, 2), (2, 3), (3, 2)])
+    def test_core_widened_by_one_step(self, k, d):
+        # open on every side, volume prod(span+1)/m^d > 2^-k, grid points exactly the core's
+        m = 2**k
+        grid = list(itertools.product(range(1, m), repeat=d))
+        for cls in enumerate_feasible_classes(k, d):
+            box = cls.empty_box()
+            assert all(box.open_lower) and all(box.open_upper)
+            assert box.volume() == Fraction(math.prod(s + 1 for s in cls.span), m**d)
+            assert box.volume() > Fraction(1, m)
+            core = cls.core_box()
+            for nums in grid:
+                point = tuple(Fraction(a, m) for a in nums)
+                assert box.contains(point) == core.contains_numerators(nums)
+
+    @pytest.mark.parametrize("k,d,n", [(2, 2, 6), (2, 3, 12), (3, 2, 30)])
+    def test_witness_of_a_failing_set_is_empty(self, k, d, n):
+        m = 2**k
+        fails = 0
+        for seed in range(30):
+            points = sample_grid_points(k, d, n, seed)
+            cert = certify_dispersion(points, k)
+            if cert.passed:
+                continue
+            fails += 1
+            box = cert.witness.empty_box()
+            for nums in points.points.tolist():
+                assert not box.contains(tuple(Fraction(a, m) for a in nums))
+        assert fails > 0
 
 
 class TestShortSides:

@@ -19,6 +19,7 @@ from dispgrid import (
     ln_union_failure_bound_crude,
     min_hit_probability_bound,
 )
+from dispgrid import probability
 from dispgrid.guards import GuardExceeded
 
 from oracles import (
@@ -156,7 +157,9 @@ class TestExactFailureProbability:
         assert exact_failure_probability(2, 2, 1) == 1
 
     @pytest.mark.parametrize(
-        "k,d,n", [(2, 1, 3), (2, 2, 3), (2, 2, 5), (3, 1, 4), (3, 1, 8), (3, 2, 2), (2, 3, 2)]
+        "k,d,n",
+        [(2, 1, 3), (2, 1, 5), (2, 2, 3), (2, 2, 4), (2, 2, 5), (3, 1, 4), (3, 1, 8), (3, 2, 2),
+         (2, 3, 2)],
     )
     def test_matches_per_outcome_search(self, k, d, n):
         assert exact_failure_probability(k, d, n) == per_outcome_failure_probability(k, d, n)
@@ -166,5 +169,29 @@ class TestExactFailureProbability:
         assert exact_failure_probability(7, 2, 1) == 1
 
     def test_guard(self):
-        with pytest.raises(GuardExceeded):
+        with pytest.raises(GuardExceeded, match="79792266297612001 items"):
             exact_failure_probability(3, 2, 10)
+
+    def test_benchmark_instance_value(self):
+        assert exact_failure_probability(2, 2, 7) == Fraction(1406723, 1594323)
+
+    def test_each_support_tested_once(self, monkeypatch):
+        # 501 supports of at most 7 of the 9 grid points, against 6,435 multisets of 7
+        tested = []
+        kernel = probability.batch_has_empty_box_above
+
+        def counting(numerators, *args, **kwargs):
+            tested.append(len(numerators))
+            return kernel(numerators, *args, **kwargs)
+
+        monkeypatch.setattr(probability, "batch_has_empty_box_above", counting)
+        exact_failure_probability(2, 2, 7)
+        assert sum(tested) == sum(math.comb(9, s) for s in range(1, 8)) == 501
+
+    @pytest.mark.parametrize("k,d,n", [(2, 2, 4), (3, 1, 5)])
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_chunk_size_does_not_change_value(self, k, d, n, chunk, monkeypatch):
+        # small chunks split inside one support size and straddle two
+        want = exact_failure_probability(k, d, n)
+        monkeypatch.setattr(probability, "OUTCOME_CHUNK", chunk)
+        assert exact_failure_probability(k, d, n) == want
