@@ -294,11 +294,11 @@ def _run_certify(config: argparse.Namespace) -> int:
         print(f"pass: all {cert.classes_checked} core boxes hit; dispersion <= 1/{2**k}")
     else:
         witness = cert.witness
-        box = witness.empty_box()
         print(
             f"fail: core box of class anchor={witness.anchor} span={witness.span} "
             f"missed after {cert.classes_checked} classes"
         )
+        box = witness.empty_box()
         print(f"empty box: {box.format_text()} volume: {box.volume()}")
     if config.confirm_exact:
         exact = largest_empty_box(points, limit=config.enum_limit)
