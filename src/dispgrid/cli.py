@@ -3,8 +3,8 @@
 Every output starts with a metadata header (package version, command,
 canonical config echo, RNG scheme where randomness is involved) sufficient
 to reproduce the run byte-for-byte. Exit codes: 0 success, 2 usage error,
-3 certificate or audit failure, 4 enumeration guard exceeded, 5 I/O or
-parse error.
+3 certificate or audit failure (or a min-n search that reaches --max-n),
+4 enumeration guard exceeded, 5 I/O or parse error.
 """
 
 import argparse
@@ -13,6 +13,7 @@ import io
 import itertools
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from .bounds import bounds_table
 from .construct import (
     RNG_SCHEME,
     CertificationError,
+    SearchLimitExceeded,
     certify_dispersion,
     empirical_min_n,
     generate_certified,
@@ -204,20 +206,15 @@ def _config_echo(config: argparse.Namespace) -> str:
     return " ".join(parts)
 
 
-def _meta_lines(config: argparse.Namespace, *, seeded: bool) -> list[str]:
+def _meta_lines(config: argparse.Namespace) -> list[str]:
     lines = [
         f"dispgrid {__version__}",
         f"command: {config.command}",
         f"config: {_config_echo(config)}",
     ]
-    if seeded:
+    if "seed" in config:
         lines.append(f"rng: {RNG_SCHEME}")
     return lines
-
-
-def _print_meta(config: argparse.Namespace) -> None:
-    for line in _meta_lines(config, seeded=False):
-        print(f"# {line}")
 
 
 def _cell(value) -> str:
@@ -234,26 +231,28 @@ def _json_cell(value):
     return value
 
 
-def _write_table(rows, columns, config: argparse.Namespace, *, seeded: bool) -> None:
-    meta = _meta_lines(config, seeded=seeded)
+def _write_table(rows: list[dict], config: argparse.Namespace, *, passed: bool = True) -> int:
+    """Write the metadata header and one record per row; columns are the row keys, in order."""
+    meta = _meta_lines(config)
     buffer = io.StringIO()
     if config.fmt == "csv":
         for line in meta:
             buffer.write(f"# {line}\n")
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(columns)
+        writer.writerow(rows[0].keys())
         for row in rows:
-            writer.writerow([_cell(row[col]) for col in columns])
+            writer.writerow([_cell(value) for value in row.values()])
     else:
         buffer.write(json.dumps({"meta": meta}, sort_keys=True) + "\n")
         for row in rows:
-            record = {col: _json_cell(row[col]) for col in columns}
+            record = {key: _json_cell(value) for key, value in row.items()}
             buffer.write(json.dumps(record, sort_keys=True) + "\n")
     text = buffer.getvalue()
     if config.out_path:
         Path(config.out_path).write_text(text)
     else:
         sys.stdout.write(text)
+    return EXIT_OK if passed else EXIT_CHECK_FAIL
 
 
 def _run_gen(config: argparse.Namespace) -> int:
@@ -289,7 +288,7 @@ def _run_certify(config: argparse.Namespace) -> int:
         return EXIT_IO
     k = config.k if config.k is not None else points.k
     cert = certify_dispersion(points, k, limit=config.enum_limit)
-    _print_meta(config)
+    print("\n".join(f"# {line}" for line in _meta_lines(config)))
     if cert.passed:
         print(f"pass: all {cert.classes_checked} core boxes hit; dispersion <= 1/{2**k}")
     else:
@@ -309,7 +308,7 @@ def _run_certify(config: argparse.Namespace) -> int:
 def _run_disp(config: argparse.Namespace) -> int:
     points = read_point_set(config.in_path)
     result = largest_empty_box(points, limit=config.enum_limit)
-    _print_meta(config)
+    print("\n".join(f"# {line}" for line in _meta_lines(config)))
     print(f"dispersion: {result.volume}")
     print(f"witness: {result.witness.format_text()}")
     return EXIT_OK
@@ -319,101 +318,56 @@ def _run_mc(config: argparse.Namespace) -> int:
     summary = monte_carlo_success(
         config.k, config.d, config.n, config.trials, config.seed, limit=config.enum_limit
     )
-    columns = [
-        "k", "d", "n", "trials", "successes", "success_rate",
-        "ci_low", "ci_high", "master_seed",
-    ]
-    row = {col: getattr(summary, col) for col in columns}
-    _write_table([row], columns, config, seeded=True)
-    return EXIT_OK
+    return _write_table([asdict(summary)], config)
 
 
 def _run_min_n(config: argparse.Namespace) -> int:
-    result = empirical_min_n(
-        config.k, config.d, config.target, config.trials, config.seed,
-        max_n=config.max_n, limit=config.enum_limit,
-    )
-    columns = [
-        "k", "d", "target", "trials",
-        "n_star", "rate_at_n_star", "rate_below", "n_required", "within_required",
-    ]
-    row = {
-        "k": config.k,
-        "d": config.d,
-        "target": config.target,
-        "trials": config.trials,
-        "n_star": result.n_star,
-        "rate_at_n_star": result.rate_at_n_star,
-        "rate_below": result.rate_below if result.rate_below is not None else "",
-        "n_required": result.n_required,
-        "within_required": result.within_required,
-    }
-    _write_table([row], columns, config, seeded=True)
-    return EXIT_OK
+    try:
+        result = empirical_min_n(
+            config.k, config.d, config.target, config.trials, config.seed,
+            max_n=config.max_n, limit=config.enum_limit,
+        )
+    except SearchLimitExceeded as exc:
+        print(f"min-n: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAIL
+    search = {"k": config.k, "d": config.d, "target": config.target, "trials": config.trials}
+    return _write_table([search | asdict(result)], config)
 
 
 def _run_bounds(config: argparse.Namespace) -> int:
-    columns = [
-        "eps", "d", "k", "n_required", "n_logdim", "n_coarse", "n_lineardim",
-        "better", "threshold_exceeds_d",
-    ]
-    rows = [
-        {col: getattr(row, col) for col in columns}
-        for row in bounds_table(config.eps_list, config.d_list)
-    ]
-    _write_table(rows, columns, config, seeded=False)
-    return EXIT_OK
+    rows = [asdict(row) for row in bounds_table(config.eps_list, config.d_list)]
+    return _write_table(rows, config)
 
 
 def _run_prob_audit(config: argparse.Namespace) -> int:
-    columns = ["k", "d", "min_hit_probability", "lower_bound", "pass"]
-    rows = []
-    all_passed = True
-    for k, d in itertools.product(config.k_list, config.d_list):
-        audit = audit_hit_probabilities(k, d, limit=config.enum_limit)
-        all_passed &= audit.passed
-        rows.append(
-            {
-                "k": k,
-                "d": d,
-                "min_hit_probability": audit.min_hit_probability,
-                "lower_bound": audit.lower_bound,
-                "pass": audit.passed,
-            }
-        )
-    _write_table(rows, columns, config, seeded=False)
-    return EXIT_OK if all_passed else EXIT_CHECK_FAIL
+    audits = [
+        audit_hit_probabilities(k, d, limit=config.enum_limit)
+        for k, d in itertools.product(config.k_list, config.d_list)
+    ]
+    rows = [
+        {"k": audit.k, "d": audit.d, "min_hit_probability": audit.min_hit_probability,
+         "lower_bound": audit.lower_bound, "pass": audit.passed}
+        for audit in audits
+    ]
+    return _write_table(rows, config, passed=all(audit.passed for audit in audits))
 
 
 def _run_count_audit(config: argparse.Namespace) -> int:
-    columns = ["k", "d", "exact_feasible_count", "anchor_formula_count", "ln_class_count_bound"]
-    rows = []
-    for k, d in itertools.product(config.k_list, config.d_list):
-        audit = count_audit(k, d, limit=config.enum_limit)
-        rows.append({col: getattr(audit, col) for col in columns})
-    _write_table(rows, columns, config, seeded=False)
-    return EXIT_OK
+    rows = [
+        asdict(count_audit(k, d, limit=config.enum_limit))
+        for k, d in itertools.product(config.k_list, config.d_list)
+    ]
+    return _write_table(rows, config)
 
 
 def _run_ineq_check(config: argparse.Namespace) -> int:
-    columns = ["k", "lhs_min", "rhs", "margin", "min_j", "pass"]
-    rows = []
-    all_passed = True
-    for k in range(2, config.k_max + 1):
-        check = check_hit_factor_inequality(k)
-        all_passed &= check.holds
-        rows.append(
-            {
-                "k": k,
-                "lhs_min": check.lhs_min,
-                "rhs": check.rhs,
-                "margin": check.margin,
-                "min_j": check.min_j,
-                "pass": check.holds,
-            }
-        )
-    _write_table(rows, columns, config, seeded=False)
-    return EXIT_OK if all_passed else EXIT_CHECK_FAIL
+    checks = [check_hit_factor_inequality(k) for k in range(2, config.k_max + 1)]
+    rows = [
+        {"k": check.k, "lhs_min": check.lhs_min, "rhs": check.rhs, "margin": check.margin,
+         "min_j": check.min_j, "pass": check.holds}
+        for check in checks
+    ]
+    return _write_table(rows, config, passed=all(check.holds for check in checks))
 
 
 def run(config: argparse.Namespace) -> int:
@@ -423,10 +377,7 @@ def run(config: argparse.Namespace) -> int:
     except GuardExceeded as exc:
         print(f"{config.command}: guard exceeded: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except PointSetParseError as exc:
-        print(f"{config.command}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (PointSetParseError, OSError) as exc:
         print(f"{config.command}: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import n_required
 from .grid import GRID_REPR, PointSet, require_k
 from .guards import DEFAULT_ENUMERATION_LIMIT, check_enumeration
 from .partition import BoxClass, feasible_class_table
@@ -345,8 +346,6 @@ def empirical_min_n(
     is fixed across the search. On return the estimate at n_star reaches the
     target while the estimate at n_star - 1 (when n_star > 1) does not.
     """
-    from .bounds import n_required as _n_required
-
     kk = require_k(k)
     if not (0.0 < target_rate < 1.0):
         raise ValueError(f"target rate must lie in (0, 1), got {target_rate}")
@@ -377,7 +376,7 @@ def empirical_min_n(
                 hi = mid
             else:
                 lo = mid
-    req = _n_required(kk, d)
+    req = n_required(kk, d)
     return MinNSearch(
         n_star=hi,
         rate_at_n_star=rate(hi),

@@ -65,6 +65,10 @@ def read_point_set(path) -> PointSet:
     k = int(match["k"])
     n = int(match["n"])
     repr_tag = match["repr"]
+    if repr_tag == GRID_REPR and k < 2:
+        raise PointSetParseError(path, 1, f"grid files need k >= 2, got k={k}")
+    if repr_tag == REAL_REPR and k != 0:
+        raise PointSetParseError(path, 1, f"real files must carry k=0, got k={k}")
 
     top = 2 ** min(k, 63) - 1  # numerators are stored as int64
     rows = []
@@ -100,9 +104,5 @@ def read_point_set(path) -> PointSet:
             path, len(lines), f"header announced n={n} points but file contains {len(rows)}"
         )
     if repr_tag == GRID_REPR:
-        if k < 2:
-            raise PointSetParseError(path, 1, f"grid files need k >= 2, got k={k}")
         return PointSet(dim=d, points=rows, repr=GRID_REPR, k=k)
-    if k != 0:
-        raise PointSetParseError(path, 1, f"real files must carry k=0, got k={k}")
     return PointSet(dim=d, points=rows, repr=REAL_REPR, k=None)

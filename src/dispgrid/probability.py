@@ -23,7 +23,7 @@ from .construct import full_grid
 from .empty_box import batch_has_empty_box_above
 from .grid import require_k
 from .guards import DEFAULT_OUTCOME_LIMIT, check_enumeration
-from .partition import BoxClass, enumerate_feasible_classes
+from .partition import BoxClass, feasible_class_table, ln_class_count_bound
 
 CHAIN_SLACK = 1e-12
 
@@ -64,8 +64,8 @@ class HitProbabilityAudit:
     k: int
     d: int
     classes_checked: int
-    min_hit_probability: Fraction | None
-    argmin_class: BoxClass | None
+    min_hit_probability: Fraction
+    argmin_class: BoxClass
     lower_bound: Fraction
     passed: bool
     violations: tuple
@@ -74,12 +74,14 @@ class HitProbabilityAudit:
 def audit_hit_probabilities(k, d: int, *, limit: int | None = None) -> HitProbabilityAudit:
     """Verify the hit-probability bounds over every feasible class.
 
+    Works on the rows of ``feasible_class_table``, which are feasible by
+    construction, so a class's attainable maximum volume is
+    V = prod(span + 1) / 2^(kd) and its hit probability prod(span) / (2^k - 1)^d.
     Checks three claims per class: the exact hit probability exceeds
-    2^-(k+4); it dominates the intermediate chain value
-    (1 - 1/(k 2^k))^short_sides * V^(k/(k-1)) with V the class's attainable
-    maximum volume (float comparison with 1e-12 slack); and the complementary
-    miss probability stays below exp(-2^-(k+4)). Violations are reported, not
-    raised.
+    2^-(k+4) (an integer comparison); it dominates the intermediate chain
+    value (1 - 1/(k 2^k))^short_sides * V^(k/(k-1)) (float comparison with
+    1e-12 slack); and the complementary miss probability stays below
+    exp(-2^-(k+4)). Violations are reported in table order, not raised.
     """
     kk = require_k(k)
     bound = min_hit_probability_bound(kk)
@@ -87,36 +89,41 @@ def audit_hit_probabilities(k, d: int, *, limit: int | None = None) -> HitProbab
     shrink = 1.0 - 1.0 / (kk * 2**kk)
     exponent = kk / (kk - 1)
 
-    count = 0
-    min_hit: Fraction | None = None
-    argmin: BoxClass | None = None
+    anchors, spans = feasible_class_table(kk, d, limit=limit)
+    g = 2**kk - 1
+    hits = np.prod(spans, axis=1)
+    hit_prob = hits / g**d
+    volume = np.prod(spans + 1, axis=1) / 2 ** (kk * d)
+    chain = shrink ** np.count_nonzero(spans < g, axis=1) * volume**exponent
+    # hits / g^d > bound exactly when hits > floor(g^d bound), as hits are integers
+    hit_floor = g**d * bound.numerator // bound.denominator
+    failed = {
+        "hit probability not above 2^-(k+4)": hits <= hit_floor,
+        "intermediate chain inequality": ~(hit_prob >= chain - CHAIN_SLACK),
+        "miss probability bound": ~(1.0 - hit_prob < miss_bound),
+    }
     violations = []
-    for cls in enumerate_feasible_classes(kk, d, limit=limit):
-        count += 1
-        hp = hit_probability(cls)
-        if min_hit is None or hp < min_hit:
-            min_hit, argmin = hp, cls
-        if not hp > bound:
-            violations.append((cls, "hit probability not above 2^-(k+4)"))
-        chain = shrink**cls.short_sides * float(cls.max_volume()) ** exponent
-        if not float(hp) >= chain - CHAIN_SLACK:
-            violations.append((cls, "intermediate chain inequality"))
-        if not 1.0 - float(hp) < miss_bound:
-            violations.append((cls, "miss probability bound"))
+    for i in np.flatnonzero(np.any(list(failed.values()), axis=0)).tolist():
+        cls = BoxClass(kk, tuple(anchors[i].tolist()), tuple(spans[i].tolist()))
+        violations.extend((cls, reason) for reason, rows in failed.items() if rows[i])
+    i = int(np.argmin(hits))
     return HitProbabilityAudit(
         k=kk,
         d=d,
-        classes_checked=count,
-        min_hit_probability=min_hit,
-        argmin_class=argmin,
+        classes_checked=len(hits),
+        min_hit_probability=Fraction(int(hits[i]), g**d),
+        argmin_class=BoxClass(kk, tuple(anchors[i].tolist()), tuple(spans[i].tolist())),
         lower_bound=bound,
-        passed=count > 0 and not violations,
+        passed=not violations,
         violations=tuple(violations),
     )
 
 
 def hit_factor_lhs(k, j: int) -> float:
-    """Per-axis factor j / (j+1)^(k/(k-1)) entering the hit-probability bound."""
+    """Per-axis factor j / (j+1)^(k/(k-1)) entering the hit-probability bound.
+
+    Elementwise when j is a numpy array.
+    """
     kk = require_k(k)
     return j / (j + 1.0) ** (kk / (kk - 1.0))
 
@@ -141,9 +148,7 @@ def check_hit_factor_inequality(k) -> FactorInequalityCheck:
     maximum) and reports the minimizing j and the margin.
     """
     kk = require_k(k)
-    exponent = kk / (kk - 1.0)
-    j = np.arange(1, 2**kk - 1, dtype=np.float64)
-    lhs = j / (j + 1.0) ** exponent
+    lhs = hit_factor_lhs(kk, np.arange(1, 2**kk - 1, dtype=np.float64))
     i = int(np.argmin(lhs))
     lhs_min = float(lhs[i])
     rhs = (2**kk - 1) * 2.0 ** (-(kk * kk) / (kk - 1.0)) * (1.0 - 1.0 / (kk * 2**kk))
@@ -166,7 +171,7 @@ def ln_union_failure_bound(k, d: int, n: int) -> float:
     kk = require_k(k)
     if d < 1 or n < 0:
         raise ValueError(f"need d >= 1 and n >= 0, got d={d}, n={n}")
-    return math.log(2) * kk * 2**kk * math.log2(2 ** (kk + 1) * d) - n * 2.0 ** -(kk + 4)
+    return ln_class_count_bound(kk, d) - n * 2.0 ** -(kk + 4)
 
 
 def ln_union_failure_bound_crude(k, d: int, n: int) -> float:

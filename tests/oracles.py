@@ -4,7 +4,8 @@ Each oracle recomputes a quantity by a different route than the library:
 plain unpruned and shrunken closed-box scans and a recursive pruned bitmask
 scan for the dispersion, inclusion-exclusion surjection counts and a
 per-outcome empty-box search for exact failure probabilities, grid
-enumeration for hit probabilities, classification of a fine mesh of boxes
+enumeration for hit probabilities, a per-class loop over rebuilt classes
+for the hit-probability audit, classification of a fine mesh of boxes
 and a per-class feasibility walk for the feasible class set, a per-class
 core-box scan for the certificate, and one certificate per trial for Monte
 Carlo success counts.
@@ -15,8 +16,18 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from dispgrid import Box, BoxClass, PointSet, certify_dispersion, classify_box
+from dispgrid import (
+    Box,
+    BoxClass,
+    PointSet,
+    certify_dispersion,
+    classify_box,
+    enumerate_feasible_classes,
+    hit_probability,
+    probability,
+)
 from dispgrid.construct import _generator, _sample
+from dispgrid.probability import HitProbabilityAudit
 
 
 def shrink_oracle_dispersion(points: PointSet, delta: float = 1e-12) -> float:
@@ -195,6 +206,46 @@ def brute_force_hit_probability(core, k: int, d: int) -> Fraction:
         if core.contains_numerators(p)
     )
     return Fraction(hits, g**d)
+
+
+def reference_hit_audit(k: int, d: int) -> HitProbabilityAudit:
+    """Hit-probability audit by a per-class loop with exact rationals.
+
+    Rebuilds every feasible class as a BoxClass, takes its hit probability
+    and maximum volume as Fractions (proving it feasible again on the way),
+    and checks the three claims of ``audit_hit_probabilities`` one class at a
+    time. The bounds and ``CHAIN_SLACK`` are read from the probability module
+    at call time, so a test that patches them patches both audits.
+    """
+    bound = probability.min_hit_probability_bound(k)
+    miss_bound = probability.class_miss_probability_bound(k)
+    shrink = 1.0 - 1.0 / (k * 2**k)
+    exponent = k / (k - 1)
+    count = 0
+    min_hit = argmin = None
+    violations = []
+    for cls in enumerate_feasible_classes(k, d):
+        count += 1
+        hp = hit_probability(cls)
+        if min_hit is None or hp < min_hit:
+            min_hit, argmin = hp, cls
+        if not hp > bound:
+            violations.append((cls, "hit probability not above 2^-(k+4)"))
+        chain = shrink**cls.short_sides * float(cls.max_volume()) ** exponent
+        if not float(hp) >= chain - probability.CHAIN_SLACK:
+            violations.append((cls, "intermediate chain inequality"))
+        if not 1.0 - float(hp) < miss_bound:
+            violations.append((cls, "miss probability bound"))
+    return HitProbabilityAudit(
+        k=k,
+        d=d,
+        classes_checked=count,
+        min_hit_probability=min_hit,
+        argmin_class=argmin,
+        lower_bound=bound,
+        passed=count > 0 and not violations,
+        violations=tuple(violations),
+    )
 
 
 def classes_from_fine_mesh(k: int, d: int) -> set:

@@ -1,9 +1,10 @@
+import dataclasses
 import random
 from pathlib import Path
 
 import pytest
 
-from dispgrid import PointSet, full_grid, read_point_set, write_point_set
+from dispgrid import PointSet, cli, full_grid, read_point_set, write_point_set
 from dispgrid.cli import (
     EXIT_CHECK_FAIL,
     EXIT_GUARD,
@@ -166,6 +167,21 @@ class TestGenCertifyDisp:
         assert "guard exceeded" in capsys.readouterr().err
 
 
+# csv column order per tabular command; the golden jsonl runs sort their keys
+CSV_HEADER = {
+    "mc": (["--k", "2", "--d", "1", "--n", "3", "--trials", "5", "--seed", "1"],
+           "k,d,n,trials,successes,success_rate,ci_low,ci_high,master_seed"),
+    "min-n": (["--k", "2", "--d", "1", "--target", "0.5", "--trials", "20", "--seed", "8"],
+              "k,d,target,trials,n_star,rate_at_n_star,rate_below,n_required,within_required"),
+    "bounds": (["--eps-list", "0.25", "--d-list", "2"],
+               "eps,d,k,n_required,n_logdim,n_coarse,n_lineardim,better,threshold_exceeds_d"),
+    "prob-audit": (["--k-list", "2", "--d-list", "1"], "k,d,min_hit_probability,lower_bound,pass"),
+    "count-audit": (["--k-list", "2", "--d-list", "1"],
+                    "k,d,exact_feasible_count,anchor_formula_count,ln_class_count_bound"),
+    "ineq-check": (["--k-max", "2"], "k,lhs_min,rhs,margin,min_j,pass"),
+}
+
+
 class TestTabularCommands:
     def test_mc_csv(self, tmp_path):
         out = tmp_path / "mc.csv"
@@ -233,6 +249,40 @@ class TestTabularCommands:
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert len(lines) == 20  # header + 19 rows
         assert all(line.endswith("true") for line in lines[1:])
+
+    @pytest.mark.parametrize("command", CSV_HEADER)
+    def test_csv_column_order(self, command, capsys):
+        args, header = CSV_HEADER[command]
+        assert main([command, *args]) == EXIT_OK
+        lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        assert lines[0] == header
+
+    def test_min_n_search_limit_exit(self, capsys):
+        assert main(["min-n", "--k", "2", "--d", "1", "--target", "0.99", "--trials", "20",
+                     "--seed", "1", "--max-n", "4"]) == EXIT_CHECK_FAIL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "min-n: no n <= 4 reached target rate 0.99 (trials=20)\n"
+
+    @pytest.mark.parametrize(
+        "argv,check,field",
+        [
+            (["prob-audit", "--k-list", "2,3", "--d-list", "1"],
+             "audit_hit_probabilities", "passed"),
+            (["ineq-check", "--k-max", "3"], "check_hit_factor_inequality", "holds"),
+        ],
+        ids=["prob-audit", "ineq-check"],
+    )
+    def test_failing_check_writes_table_and_exits_3(self, argv, check, field, monkeypatch, capsys):
+        real = getattr(cli, check)
+
+        def fail_at_k2(k, *args, **kwargs):
+            return dataclasses.replace(real(k, *args, **kwargs), **{field: k != 2})
+
+        monkeypatch.setattr(cli, check, fail_at_k2)
+        assert main(argv) == EXIT_CHECK_FAIL
+        lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        assert [line.rsplit(",", 1)[1] for line in lines] == ["pass", "false", "true"]
 
     def test_stdout_output(self, capsys):
         assert main(["ineq-check", "--k-max", "3"]) == EXIT_OK

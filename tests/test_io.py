@@ -109,6 +109,23 @@ class TestParseErrors:
             read_point_set(path)
         assert info.value.line_no == 3
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("dispgrid v1 d=1 k=1 n=1 repr=grid\n3\n", "grid files need k >= 2, got k=1"),
+            ("dispgrid v1 d=1 k=0 n=1 repr=grid\n3\n", "grid files need k >= 2, got k=0"),
+            ("dispgrid v1 d=1 k=3 n=1 repr=real\n1.5\n", "real files must carry k=0, got k=3"),
+        ],
+        ids=["grid-k1", "grid-k0", "real-k3"],
+    )
+    def test_header_k_refused_before_points(self, tmp_path, text, message):
+        # line 2 holds a bad coordinate, so a check made after the points names line 2
+        path = self.write(tmp_path, text)
+        with pytest.raises(PointSetParseError) as info:
+            read_point_set(path)
+        assert info.value.line_no == 1
+        assert str(info.value) == f"{path}:1: {message}"
+
     def test_empty_file(self, tmp_path):
         path = self.write(tmp_path, "")
         with pytest.raises(PointSetParseError):

@@ -26,6 +26,7 @@ from oracles import (
     brute_force_hit_probability,
     coverage_failure_probability,
     per_outcome_failure_probability,
+    reference_hit_audit,
 )
 
 
@@ -77,6 +78,38 @@ class TestHitProbabilityAudit:
         assert audit.passed
         assert audit.violations == ()
         assert audit.min_hit_probability > min_hit_probability_bound(k)
+
+    @pytest.mark.parametrize(
+        "k,d", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2), (5, 1)]
+    )
+    def test_matches_per_class_reference(self, k, d):
+        assert audit_hit_probabilities(k, d) == reference_hit_audit(k, d)
+
+    @pytest.mark.parametrize("k,d", [(2, 2), (2, 3), (3, 2), (4, 2)])
+    def test_matches_reference_with_violations(self, k, d, monkeypatch):
+        monkeypatch.setattr(probability, "min_hit_probability_bound", lambda k: Fraction(1, 4))
+        monkeypatch.setattr(probability, "class_miss_probability_bound", lambda k: 0.5)
+        monkeypatch.setattr(probability, "CHAIN_SLACK", -0.05)
+        audit = audit_hit_probabilities(k, d)
+        assert not audit.passed
+        assert {reason for _, reason in audit.violations} == {
+            "hit probability not above 2^-(k+4)",
+            "intermediate chain inequality",
+            "miss probability bound",
+        }
+        assert audit == reference_hit_audit(k, d)
+
+    def test_no_class_proved_feasible_again(self, monkeypatch):
+        calls = []
+        is_feasible = BoxClass.is_feasible
+
+        def counted(cls):
+            calls.append(cls)
+            return is_feasible(cls)
+
+        monkeypatch.setattr(BoxClass, "is_feasible", counted)
+        assert audit_hit_probabilities(3, 2).passed
+        assert calls == []
 
     @pytest.mark.parametrize("k,d", [(2, 1), (2, 2), (3, 1), (3, 2)])
     def test_miss_probability_below_class_bound(self, k, d):
