@@ -17,13 +17,16 @@ point, i.e. dispersion at most 2^-k. On a grid set at its own k it is also
 necessary: a fail means dispersion above 2^-k, and a pass means dispersion
 exactly 2^-k (see certify_dispersion). For a real-valued set, or a set from
 another grid rounded onto this one, a fail implies nothing about the true
-dispersion. One kernel reads the cached feasible-class table of
-partition.py and counts the points in every core box by inclusion-exclusion
-over the corners of a prefix-sum occupancy table on the grid numerators,
-for one point set or for a chunk of Monte Carlo trials at once; the first
-class in table order whose count is zero is the witness.
+dispersion. One kernel counts the points in every core box by
+inclusion-exclusion over the corners of a prefix-sum occupancy table on the
+grid numerators 1 .. 2^k - 1, for one point set or for a chunk of Monte
+Carlo trials at once; the first class in table order whose count is zero is
+the witness. A corner below anchor 1 would count zero, so a class reads
+only the 2^l corners of its l axes with anchor above 1, from a matrix of
+corner cells cached beside the feasible-class table of partition.py.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,14 +36,14 @@ import numpy as np
 from .bounds import n_required
 from .grid import GRID_REPR, PointSet, require_k
 from .guards import DEFAULT_ENUMERATION_LIMIT, check_enumeration
-from .partition import BoxClass, feasible_class_table
+from .partition import BoxClass, _class_table, feasible_class_table
 
 RNG_SCHEME = "pcg64-seedsequence-v1"
 
 WILSON_Z_95 = 1.959963984540054
 
-# Feasible classes per corner pass of the certificate kernel: a trial stops
-# after the first block that holds an empty core of its own.
+# Rows of the corner matrix per pass of the certificate kernel: a trial stops
+# after the first block of classes that holds an empty core of its own.
 BLOCK_CLASSES = 2**14
 # Bound on the elements of each array of one Monte Carlo chunk (trials times
 # the class block, the occupancy table or the sampled numerators).
@@ -101,7 +104,7 @@ class MinNSearch:
 
     n_star: int
     rate_at_n_star: float
-    rate_below: float | None
+    rate_below: float
     n_required: int
     within_required: bool
 
@@ -142,53 +145,82 @@ def full_grid(k, d: int, *, limit: int | None = None) -> PointSet:
     return PointSet.from_numerators(kk, d, np.indices((g,) * d).reshape(d, -1).T + 1)
 
 
-def _first_misses(numerators: np.ndarray, k: int, anchors, spans) -> np.ndarray:
+def _corner_matrix(k: int, anchors: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """Cells of the certificate kernel's table that sum to each class's core count.
+
+    Returns a (classes, 2^L) matrix of cell indices into the row-major
+    cumulative table over the numerators 1 .. 2^k - 1 per axis, whose
+    (2^k - 1)^d cells are followed by one zero cell. L is the largest number
+    of axes with anchor > 1 in any class. Column t starts at the core's top
+    cell, anchor + span - 1 on every axis, and steps to the cell below the
+    core, anchor - 1, on the class's anchor>1 axes picked by the set bits of
+    t; it enters the count with sign (-1)^popcount(t). A corner below anchor
+    1 lies outside the table and counts zero, so it has no column. Columns
+    past a class's own 2^l corners read the zero cell.
+    """
+    d = anchors.shape[1]
+    g = 2**k - 1
+    strides = g ** np.arange(d - 1, -1, -1)
+    low = anchors > 1
+    depth = low.sum(axis=1)
+    width = int(depth.max(initial=0))
+    # a class's steps on its anchor>1 axes in axis order; the steps past its
+    # own depth belong to other axes and only feed columns that read zero
+    order = np.argsort(~low, axis=1, kind="stable")[:, :width]
+    steps = np.take_along_axis(spans * strides, order, axis=1)
+    top = (anchors + spans - 2) @ strides
+    # built one column at a time, to hold no (classes, 2^L) temporaries, and
+    # returned column-major, so that each column the kernel reads is contiguous
+    corners = np.empty((2**width, len(top)), dtype=top.dtype)
+    for column, cells in enumerate(corners):
+        np.subtract(top, steps @ (column >> np.arange(width) & 1), out=cells)
+        cells[depth < column.bit_length()] = g**d
+    return corners.T
+
+
+@functools.lru_cache(maxsize=8)
+def _class_corners(k: int, d: int) -> np.ndarray:
+    """The corner matrix of the cached class table; call after feasible_class_table."""
+    corners = _corner_matrix(k, *_class_table(k, d))
+    corners.flags.writeable = False
+    return corners
+
+
+def _first_misses(numerators: np.ndarray, k: int, corners: np.ndarray) -> np.ndarray:
     """Table position of each trial's first feasible class with an empty core.
 
-    ``numerators`` is a (trials, n, d) array of grid numerators; a trial that
-    hits every core gets ``len(anchors)``. The points are counted into one
-    occupancy table on the numerators 0 .. 2^k - 1 per axis (numerator 0
-    never occurs, so slice 0 is the empty cell below anchor 1) with the trial
-    as last axis, so that reading one cell for every trial is one contiguous
-    row, and its cumulative sums are taken along every grid axis. The count
-    in each core [anchor, anchor + span - 1] is read off the 2^d corners by
-    inclusion-exclusion, BLOCK_CLASSES classes at a time; a trial leaves
-    after the block holding its first empty core.
+    ``numerators`` is a (trials, n, d) array of grid numerators and
+    ``corners`` the class table's corner matrix (see _corner_matrix); a
+    trial that hits every core gets ``len(corners)``. The points are counted
+    into one occupancy table on the numerators 1 .. 2^k - 1 per axis plus a
+    trailing zero cell, with the trial as last axis, so that reading one cell
+    for every trial is one contiguous row, and its cumulative sums are taken
+    along every grid axis. Each core count is the signed sum of its row of
+    corner cells, BLOCK_CLASSES classes at a time; a trial leaves after the
+    block holding its first empty core.
     """
     trials, _, d = numerators.shape
-    m = 2**k
-    cells = m**d
-    bins = np.ravel_multi_index(tuple(numerators.transpose(2, 0, 1)), (m,) * d)
+    g = 2**k - 1
+    cells = g**d
+    strides = g ** np.arange(d - 1, -1, -1)
+    bins = numerators @ strides
+    bins -= strides.sum()
     bins *= trials
     bins += np.arange(trials)[:, None]
-    table = np.bincount(bins.ravel(), minlength=cells * trials).reshape((m,) * d + (trials,))
+    flat = np.bincount(bins.ravel(), minlength=(cells + 1) * trials).reshape(cells + 1, trials)
+    cube = flat[:cells].reshape((g,) * d + (trials,))
     for axis in range(d):
-        np.cumsum(table, axis=axis, out=table)
-    flat = table.reshape(cells, trials)
-    strides = m ** np.arange(d - 1, -1, -1)
-    first = np.full(trials, len(anchors))
+        np.cumsum(cube, axis=axis, out=cube)
+    first = np.full(trials, len(corners))
     live = np.arange(trials)
-    for start in range(0, len(anchors), BLOCK_CLASSES):
-        block_spans = spans[start : start + BLOCK_CLASSES]
-        # visit the 2^d corners in Gray-code order: each step moves one axis
-        # of the cell index between the core's top cell, anchor + span - 1,
-        # and the cell below it, anchor - 1; the sign is the parity of the
-        # moved axes
-        index = (anchors[start : start + BLOCK_CLASSES] + block_spans - 1) @ strides
-        moves = [block_spans[:, axis] * stride for axis, stride in enumerate(strides)]
-        counts = flat.take(index, axis=0)
-        gray = 0
-        for step in range(1, 2**d):
-            axis = (step & -step).bit_length() - 1
-            gray ^= 1 << axis
-            if gray >> axis & 1:
-                index -= moves[axis]
+    for start in range(0, len(corners), BLOCK_CLASSES):
+        block = corners[start : start + BLOCK_CLASSES]
+        counts = flat.take(block[:, 0], axis=0)
+        for column in range(1, block.shape[1]):
+            if column.bit_count() % 2:
+                counts -= flat.take(block[:, column], axis=0)
             else:
-                index += moves[axis]
-            if gray.bit_count() % 2:
-                counts -= flat.take(index, axis=0)
-            else:
-                counts += flat.take(index, axis=0)
+                counts += flat.take(block[:, column], axis=0)
         empty = counts == 0
         missed = empty.any(axis=0)
         if missed.any():
@@ -220,7 +252,7 @@ def certify_dispersion(points: PointSet, k, *, limit: int | None = None) -> Cert
     if points.k != kk:
         raise ValueError(f"point set has resolution k={points.k}, certificate asked for k={kk}")
     anchors, spans = feasible_class_table(kk, points.dim, limit=limit)
-    i = int(_first_misses(points.points[None], kk, anchors, spans)[0])
+    i = int(_first_misses(points.points[None], kk, _class_corners(kk, points.dim))[0])
     if i == len(anchors):
         return CertificateResult(passed=True, classes_checked=i, witness=None)
     witness = BoxClass(k=kk, anchor=tuple(anchors[i].tolist()), span=tuple(spans[i].tolist()))
@@ -271,7 +303,7 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z_95) -> tupl
 
 def _trials_per_chunk(k: int, d: int, n: int, classes: int) -> int:
     """Trials per kernel call, so that each of its arrays stays within CHUNK_ELEMENTS."""
-    per_trial = max(min(classes, BLOCK_CLASSES), 2 ** (k * d), n * d)
+    per_trial = max(min(classes, BLOCK_CLASSES), (2**k - 1) ** d + 1, n * d)
     return max(1, CHUNK_ELEMENTS // per_trial)
 
 
@@ -302,14 +334,16 @@ def monte_carlo_success(
             DeprecationWarning,
             stacklevel=2,
         )
-    anchors, spans = feasible_class_table(kk, d, limit=limit)
-    chunk = _trials_per_chunk(kk, d, n, len(anchors))
+    feasible_class_table(kk, d, limit=limit)
+    corners = _class_corners(kk, d)
+    classes = len(corners)
+    chunk = _trials_per_chunk(kk, d, n, classes)
     successes = 0
     for start in range(0, trials, chunk):
         indices = range(start, min(start + chunk, trials))
         numerators = np.stack([_draw(_generator(master_seed, i), kk, d, n) for i in indices])
-        first = _first_misses(numerators, kk, anchors, spans)
-        successes += int(np.count_nonzero(first == len(anchors)))
+        first = _first_misses(numerators, kk, corners)
+        successes += int(np.count_nonzero(first == classes))
 
     low, high = wilson_interval(successes, trials)
     return MonteCarloSummary(
@@ -344,15 +378,22 @@ def empirical_min_n(
 
     Each candidate n gets its own derived master seed, so the per-n estimate
     is fixed across the search. On return the estimate at n_star reaches the
-    target while the estimate at n_star - 1 (when n_star > 1) does not.
+    target while the estimate at n_star - 1 does not. The enumeration guard
+    is checked once, before any trial. Below 2^k - 1 points the rate is 0
+    without sampling: a pass needs every value 1 .. 2^k - 1 on every axis,
+    since the class with span 1 at any one anchor on one axis and full spans
+    elsewhere is feasible.
     """
     kk = require_k(k)
     if not (0.0 < target_rate < 1.0):
         raise ValueError(f"target rate must lie in (0, 1), got {target_rate}")
+    feasible_class_table(kk, d, limit=limit)
 
     rates: dict[int, float] = {}
 
     def rate(n: int) -> float:
+        if n < 2**kk - 1:
+            return 0.0
         if n not in rates:
             rates[n] = monte_carlo_success(
                 kk, d, n, trials, _per_n_seed(seed, n), limit=limit
@@ -366,21 +407,19 @@ def empirical_min_n(
             raise SearchLimitExceeded(
                 f"no n <= {max_n} reached target rate {target_rate} (trials={trials})"
             )
-    if n == 1:
-        lo, hi = 0, 1
-    else:
-        lo, hi = n // 2, n
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if rate(mid) >= target_rate:
-                hi = mid
-            else:
-                lo = mid
+    # rate(1) is 0, so n >= 2 and the target lies in (n / 2, n]
+    lo, hi = n // 2, n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if rate(mid) >= target_rate:
+            hi = mid
+        else:
+            lo = mid
     req = n_required(kk, d)
     return MinNSearch(
         n_star=hi,
         rate_at_n_star=rate(hi),
-        rate_below=rate(lo) if lo >= 1 else None,
+        rate_below=rate(lo),
         n_required=req,
         within_required=hi <= req,
     )

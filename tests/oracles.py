@@ -7,14 +7,17 @@ per-outcome empty-box search for exact failure probabilities, grid
 enumeration for hit probabilities, a per-class loop over rebuilt classes
 for the hit-probability audit, classification of a fine mesh of boxes
 and a per-class feasibility walk for the feasible class set, a per-class
-core-box scan for the certificate, and one certificate per trial for Monte
-Carlo success counts.
+core-box scan for the certificate, the former certificate kernel that reads
+all 2^d corners of every core off a 2^k-per-axis table for its first-miss
+positions, and one certificate per trial for Monte Carlo success counts.
 """
 
 import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+
+import numpy as np
 
 from dispgrid import (
     Box,
@@ -26,7 +29,7 @@ from dispgrid import (
     hit_probability,
     probability,
 )
-from dispgrid.construct import _generator, _sample
+from dispgrid.construct import BLOCK_CLASSES, _generator, _sample
 from dispgrid.probability import HitProbabilityAudit
 
 
@@ -335,3 +338,61 @@ def reference_monte_carlo(k: int, d: int, n: int, trials: int, master_seed: int)
         certify_dispersion(_sample(_generator(master_seed, i), k, d, n), k).passed
         for i in range(trials)
     ]
+
+
+def gray_code_first_misses(numerators: np.ndarray, k: int, anchors, spans) -> np.ndarray:
+    """Table position of each trial's first feasible class with an empty core.
+
+    ``numerators`` is a (trials, n, d) array of grid numerators; a trial that
+    hits every core gets ``len(anchors)``. The points are counted into one
+    occupancy table on the numerators 0 .. 2^k - 1 per axis (numerator 0
+    never occurs, so slice 0 is the empty cell below anchor 1) with the trial
+    as last axis, so that reading one cell for every trial is one contiguous
+    row, and its cumulative sums are taken along every grid axis. The count
+    in each core [anchor, anchor + span - 1] is read off the 2^d corners by
+    inclusion-exclusion, BLOCK_CLASSES classes at a time; a trial leaves
+    after the block holding its first empty core.
+    """
+    trials, _, d = numerators.shape
+    m = 2**k
+    cells = m**d
+    bins = np.ravel_multi_index(tuple(numerators.transpose(2, 0, 1)), (m,) * d)
+    bins *= trials
+    bins += np.arange(trials)[:, None]
+    table = np.bincount(bins.ravel(), minlength=cells * trials).reshape((m,) * d + (trials,))
+    for axis in range(d):
+        np.cumsum(table, axis=axis, out=table)
+    flat = table.reshape(cells, trials)
+    strides = m ** np.arange(d - 1, -1, -1)
+    first = np.full(trials, len(anchors))
+    live = np.arange(trials)
+    for start in range(0, len(anchors), BLOCK_CLASSES):
+        block_spans = spans[start : start + BLOCK_CLASSES]
+        # visit the 2^d corners in Gray-code order: each step moves one axis
+        # of the cell index between the core's top cell, anchor + span - 1,
+        # and the cell below it, anchor - 1; the sign is the parity of the
+        # moved axes
+        index = (anchors[start : start + BLOCK_CLASSES] + block_spans - 1) @ strides
+        moves = [block_spans[:, axis] * stride for axis, stride in enumerate(strides)]
+        counts = flat.take(index, axis=0)
+        gray = 0
+        for step in range(1, 2**d):
+            axis = (step & -step).bit_length() - 1
+            gray ^= 1 << axis
+            if gray >> axis & 1:
+                index -= moves[axis]
+            else:
+                index += moves[axis]
+            if gray.bit_count() % 2:
+                counts -= flat.take(index, axis=0)
+            else:
+                counts += flat.take(index, axis=0)
+        empty = counts == 0
+        missed = empty.any(axis=0)
+        if missed.any():
+            first[live[missed]] = start + empty[:, missed].argmax(axis=0)
+            live = live[~missed]
+            if not live.size:
+                break
+            flat = flat[:, ~missed]
+    return first

@@ -27,7 +27,7 @@ from dispgrid import construct
 from dispgrid.guards import GuardExceeded
 from dispgrid.partition import _class_table, feasible_class_table
 
-from oracles import reference_certify, reference_monte_carlo
+from oracles import gray_code_first_misses, reference_certify, reference_monte_carlo
 
 
 class TestSampling:
@@ -157,7 +157,8 @@ class TestCertificate:
         ]
         lo = np.array([core.lo for core in cores])[:, None]
         hi = np.array([core.hi for core in cores])[:, None]
-        first = construct._first_misses(numerators, 3, anchors, spans)
+        corners = construct._corner_matrix(3, anchors, spans)
+        first = construct._first_misses(numerators, 3, corners)
         for trial, got in zip(numerators, first.tolist()):
             hit = ((lo <= trial) & (trial <= hi)).all(axis=2).any(axis=1)
             assert got == (len(anchors) if hit.all() else int(np.argmin(hit)))
@@ -211,6 +212,91 @@ class TestCertificate:
         assert passes > 0
 
 
+def _thinned_grid_chunk(rng, k: int, d: int, trials: int) -> np.ndarray:
+    """Full-grid trials, each but the first with a random slab of values on one axis removed.
+
+    A removed slab empties the cores that lie inside it, so the trials miss
+    classes spread over the table; the first trial passes.
+    """
+    grid = full_grid(k, d).points
+    chunk = np.repeat(grid[None], trials, axis=0)
+    for trial in chunk[1:]:
+        axis = rng.integers(d)
+        low = rng.integers(1, 2**k)
+        high = rng.integers(low, 2**k)
+        slab = (low <= trial[:, axis]) & (trial[:, axis] <= high)
+        if not slab.all():
+            trial[slab] = trial[~slab][0]
+    return chunk
+
+
+class TestCertificateKernel:
+    # the default guard refuses (5, 3)
+    CASES = [(2, d) for d in range(1, 8)] + [
+        (k, d) for k in (3, 4, 5) for d in (1, 2, 3) if k < 5 or d < 3
+    ]
+
+    @pytest.mark.parametrize("block", [3, 50, construct.BLOCK_CLASSES])
+    def test_matches_gray_code_kernel(self, monkeypatch, block):
+        # uniform chunks and thinned full grids, whose trials leave at
+        # different blocks; a small block runs only the tables of a few
+        # thousand classes, since a pass walks every block
+        monkeypatch.setattr(construct, "BLOCK_CLASSES", block)
+        rng = np.random.default_rng(block)
+        spread = 0
+        outcomes = Counter()
+        for k, d in self.CASES:
+            anchors, spans = feasible_class_table(k, d)
+            if len(anchors) > 1000 * block:
+                continue
+            cells = (2**k - 1) ** d
+            chunks = [
+                rng.integers(1, 2**k, size=(rng.integers(1, 9), rng.integers(0, 3 * cells), d))
+                for _ in range(3)
+            ] + [_thinned_grid_chunk(rng, k, d, 8)]
+            for numerators in chunks:
+                first = construct._first_misses(numerators, k, construct._class_corners(k, d))
+                want = gray_code_first_misses(numerators, k, anchors, spans)
+                assert first.tolist() == want.tolist()
+                misses = first[first < len(anchors)]
+                spread = max(spread, len(np.unique(misses // block)))
+                outcomes.update((first == len(anchors)).tolist())
+        assert outcomes[True] > 0 and outcomes[False] > 0
+        assert spread >= 3
+
+    def test_agrees_with_reference_scan_up_to_d7(self):
+        rng = random.Random(7)
+        fails = 0
+        for d, n_low, n_high in [(5, 15, 50), (6, 20, 60), (7, 25, 70)]:
+            sets = [sample_grid_points(2, d, rng.randint(n_low, n_high), seed=rng.randrange(2**32))
+                    for _ in range(6)]
+            for pts, want in zip(sets, reference_certify(sets, 2)):
+                cert = certify_dispersion(pts, 2)
+                assert (cert.passed, cert.classes_checked, cert.witness) == want
+                fails += not cert.passed
+        assert 0 < fails < 18
+
+    def test_corner_matrix_reads_only_cells_that_can_be_nonzero(self):
+        # at (2, 7) no class has more than 4 anchors above 1, so 16 columns
+        # replace the 128 corners of a 7-dimensional core
+        anchors, spans = feasible_class_table(2, 7)
+        corners = construct._class_corners(2, 7)
+        depth = (anchors > 1).sum(axis=1)
+        assert corners.shape == (len(anchors), 16) and depth.max() == 4
+        zero_cell = 3**7  # the trailing cell past the grid cells, which no point fills
+        for column in range(16):
+            padding = column >> depth != 0
+            assert (corners[padding, column] == zero_cell).all()
+            cells = np.array(np.unravel_index(corners[~padding, column], (3,) * 7)).T + 1
+            top = (anchors + spans - 1)[~padding]
+            below = (anchors - 1)[~padding]
+            # the set bits of the column pick, in axis order, the anchor>1 axes it steps below
+            low = (anchors > 1)[~padding]
+            rank = np.cumsum(low, axis=1) - 1
+            stepped = low & (column >> np.where(low, rank, 0) & 1).astype(bool)
+            assert (cells == np.where(stepped, below, top)).all()
+
+
 class TestGenerateCertified:
     def test_succeeds_at_required_n(self):
         result = generate_certified(2, 2, 2048, seed=7)
@@ -260,9 +346,11 @@ class TestMonteCarlo:
 
     def test_cold_cache_threads_match_serial(self):
         _class_table.cache_clear()
+        construct._class_corners.cache_clear()
         with pytest.warns(DeprecationWarning):
             threaded = monte_carlo_success(3, 2, 50, trials=64, master_seed=9, threads=2)
         _class_table.cache_clear()
+        construct._class_corners.cache_clear()
         serial = monte_carlo_success(3, 2, 50, trials=64, master_seed=9, threads=1)
         assert serial == threaded
         assert 0 < serial.successes < serial.trials
@@ -341,16 +429,31 @@ class TestEmpiricalMinN:
         # exact success: n=4 -> 36/81 ~ 0.444, n=5 -> 150/243 ~ 0.617
         assert result.n_star in (4, 5)
         assert result.rate_at_n_star >= 0.5
-        assert result.rate_below is None or result.rate_below < 0.5
+        assert result.rate_below < 0.5
         assert result.within_required
 
     def test_search_boundary_contract(self):
         result = empirical_min_n(2, 2, target_rate=0.5, trials=120, seed=21)
         assert result.rate_at_n_star >= 0.5
-        if result.rate_below is not None:
-            assert result.rate_below < 0.5
+        assert result.rate_below < 0.5
         assert result.n_star < 2048  # far below the sufficient sample size
 
     def test_cap_exceeded(self):
         with pytest.raises(SearchLimitExceeded):
             empirical_min_n(2, 2, target_rate=0.999, trials=5, seed=1, max_n=4)
+
+    def test_no_trials_below_one_point_per_grid_value(self, monkeypatch):
+        # fewer than 2^k - 1 points cannot pass, so those sizes draw no trial
+        calls = []
+        monte_carlo = construct.monte_carlo_success
+
+        def spy(k, d, n, *args, **kwargs):
+            calls.append(n)
+            return monte_carlo(k, d, n, *args, **kwargs)
+
+        monkeypatch.setattr(construct, "monte_carlo_success", spy)
+        for k, d in [(2, 1), (3, 1), (3, 2)]:
+            calls.clear()
+            result = empirical_min_n(k, d, target_rate=0.5, trials=40, seed=3)
+            assert calls and min(calls) >= 2**k - 1
+            assert result.rate_below < 0.5 <= result.rate_at_n_star
