@@ -11,18 +11,25 @@ inside on every axis, and the maximum over candidates equals the supremum
 over all boxes.
 
 Both searches share one numpy kernel, run after an enumeration guard that
-counts candidates from the per-axis endpoint counts alone. The points are
+counts its work from the per-axis endpoint counts alone. The points are
 binned into an occupancy tensor over the candidate endpoints; its exclusive
-prefix sums C along every axis give the points strictly inside the endpoint
-index pair (i, j) on one axis as C[j] - C[i+1], so taking that difference
-axis by axis counts the points in every candidate box at once. Boxes are
-evaluated in blocks of consecutive axis-0 pairs in lexicographic endpoint
-order, a block whose volume bound cannot beat the best so far is skipped, and
-the first maximiser is kept, so ties resolve to the lexicographically
-smallest witness. ``batch_has_empty_box_above`` runs the same counting for a
-batch of grid point sets at once, each on its own candidate endpoints, with
-the set as a leading axis; ``exact_failure_probability`` tests with it each
-support (set of distinct grid points) of its outcomes once.
+prefix sums C along an axis give the points strictly inside the endpoint
+index pair (i, j) on that axis as C[j] - C[i+1]. Endpoint pairs are
+enumerated on axes 0 .. d-2 only, taking that difference axis by axis, which
+leaves for every box prefix its slab's occupancy per last-axis endpoint. The
+last axis is swept instead of enumerated: in one dimension the widest empty
+interval ending at an endpoint starts at the last occupied endpoint below it
+(or at 0), so a running maximum over the occupied endpoints gives every
+prefix's best box, its height times its widest gap. That is
+prod_{a<d-1} C(c_a, 2) * c_{d-1} elements where enumerating every candidate
+box would take prod_a C(c_a, 2). Prefixes are evaluated in blocks of
+consecutive axis-0 pairs in lexicographic endpoint order, a block whose
+volume bound cannot beat the best so far is skipped, and the first maximiser
+is kept, so ties resolve to the lexicographically smallest witness.
+``batch_has_empty_box_above`` counts every candidate box for a batch of grid
+point sets at once, each on its own candidate endpoints, with the set as a
+leading axis; ``exact_failure_probability`` tests with it each support (set
+of distinct grid points) of its outcomes once.
 
 For grid-valued inputs the whole search runs on integer numerators and the
 result is exact (an arbitrary-precision integer over 2^(k*d); int64 while
@@ -40,8 +47,9 @@ import numpy as np
 from .grid import GRID_REPR, PointSet, exact_fraction
 from .guards import DEFAULT_ENUMERATION_LIMIT, check_enumeration
 
-# Boxes evaluated at once, but never less than one axis-0 endpoint pair (or
-# one outcome): a block's counts and volumes are materialised whole, so this
+# Boxes evaluated at once (in the single-set search, box prefixes times
+# last-axis endpoints), but never less than one axis-0 endpoint pair (or one
+# outcome): a block's counts and volumes are materialised whole, so this
 # bounds the kernel's temporary arrays and with them its peak memory.
 BLOCK_BOXES = 2**14
 
@@ -199,51 +207,73 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 def _search(points: PointSet, best, limit: int | None, *, first: bool):
     """Empty candidate box of largest volume strictly above `best`, in scan units.
 
-    The enumeration guard counts candidate boxes from the per-axis endpoint
-    counts before any point is binned. Blocks of consecutive axis-0 endpoint
-    pairs are visited in lexicographic order; a block is skipped when its
-    widest axis-0 pair times unit^(d-1) cannot strictly beat the best so far,
-    and a block's first maximiser replaces the best only on strict
-    improvement, so the result is the lexicographically smallest maximal
-    witness. With `first` set it stops after the first block holding an empty
-    box above `best`. Returns (volume, witness box or None when none beats
-    `best`).
+    Endpoint pairs are enumerated on axes 0 .. d-2 only; each such box prefix
+    spans a slab, and the last axis is swept instead. The slab's occupancy per
+    last-axis endpoint t is a difference of prefix sums taken with the last
+    axis first, so that one t is one contiguous row over the prefixes. With
+    endpoint 0 counted as occupied, ``np.maximum.accumulate`` along t gives
+    the last occupied endpoint at or below each t, so the widest empty
+    interval ending at endpoint t + 1 starts there, and a prefix's best box
+    is its height times its widest such gap. The enumeration guard counts the
+    prefixes times the last-axis endpoints, before any point is binned.
+
+    Blocks of consecutive axis-0 endpoint pairs are visited in lexicographic
+    order; a block is skipped when its widest axis-0 pair times unit^(d-1)
+    cannot strictly beat the best so far. A block's first maximal prefix
+    replaces the best only on strict improvement, and the winning prefix's
+    last-axis pair is the first maximiser among that row's pairs, so the
+    result is the lexicographically smallest maximal witness; volumes are
+    multiplied in axis order, so float ties resolve as over all pairs. With
+    `first` set it stops after the first block holding an empty box above
+    `best`. Returns (volume, witness box or None when none beats `best`).
     """
     unit = _unit(points)
     cols = points.points.T
     if isinstance(unit, int) and unit**points.dim >= 2**63:
         cols = cols.astype(object)  # volume numerators outgrow int64: use Python integers
     values = [_distinct(np.concatenate((col, [0, unit]))) for col in cols]
-    count = math.prod(len(v) * (len(v) - 1) // 2 for v in values)
-    check_enumeration("candidate boxes", count, limit, DEFAULT_ENUMERATION_LIMIT)
+    *head, last = values
+    count = math.prod(len(v) * (len(v) - 1) // 2 for v in head) * len(last)
+    check_enumeration("box prefixes x last-axis endpoints", count, limit, DEFAULT_ENUMERATION_LIMIT)
 
     cells = [np.searchsorted(v, col) for v, col in zip(values, cols)]
     shape = tuple(len(v) for v in values)
     occupancy = np.bincount(np.ravel_multi_index(cells, shape), minlength=math.prod(shape))
-    prefix = _occupancy_prefix(occupancy.reshape(shape))
-    pairs = [_pairs(len(v)) for v in values]
-    widths = [v[hi] - v[lo] for v, (lo, hi) in zip(values, pairs)]
+    prefix = _occupancy_prefix(np.moveaxis(occupancy.reshape(shape), -1, 0), 1)
+    pairs = [_pairs(len(v)) for v in head]
+    widths = [v[hi] - v[lo] for v, (lo, hi) in zip(head, pairs)]
 
     cap = unit ** (points.dim - 1)
-    step = max(1, BLOCK_BOXES // math.prod(len(w) for w in widths[1:]))
-    lo0, hi0 = pairs[0]
+    rows = math.prod(len(w) for w in widths[1:])  # box prefixes per axis-0 pair
+    step = max(1, BLOCK_BOXES // (rows * len(last)))
     found = None
-    for start in range(0, len(widths[0]), step):
+    for start in range(0, len(widths[0]) if widths else 1, step):
         block = slice(start, start + step)
-        if widths[0][block].max() * cap <= best:
+        block_pairs = [(lo[block], hi[block]) for lo, hi in pairs[:1]] + pairs[1:]
+        block_widths = [w[block] for w in widths[:1]] + widths[1:]
+        if block_widths and block_widths[0].max() * cap <= best:
             continue
-        counts = _inside_counts(prefix, [(lo0[block], hi0[block]), *pairs[1:]])
-        empty = counts == 0
-        volumes = np.where(empty, _box_volumes([widths[0][block], *widths[1:]]), 0)
-        at = np.unravel_index(np.argmax(volumes), volumes.shape)
-        if empty[at] and volumes[at] > best:
+        counts = _inside_counts(prefix, block_pairs, 1).reshape(len(last), -1)
+        # last occupied endpoint value at or below each endpoint; last[0] is 0
+        below = np.maximum.accumulate((counts > 0) * last[:, None], axis=0)
+        gaps = (last[1:, None] - below[:-1]).max(axis=0)
+        heights = _box_volumes(block_widths).ravel() if widths else np.ones(1, last.dtype)
+        volumes = heights * gaps
+        at = np.argmax(volumes)
+        if volumes[at] > best:
             best = type(unit)(volumes[at])  # a Python int or float, as the callers expect
-            found = (start + at[0],) + at[1:]
+            found = start * rows + at, counts[:, at], heights[at]
             if first:
                 break
     if found is None:
         return best, None
-    return best, _witness_box(found, values, pairs, cells, unit)
+    # the winning prefix's first maximal last-axis pair, as a scan of that row's pairs finds it
+    at, row, height = found
+    lo, hi = pairs_last = _pairs(len(last))
+    inside = _inside_counts(_occupancy_prefix(row), [pairs_last])
+    volumes = np.where(inside == 0, height * (last[hi] - last[lo]), 0)
+    found = (*np.unravel_index(at, [len(w) for w in widths]), np.argmax(volumes))
+    return best, _witness_box(found, values, [*pairs, pairs_last], cells, unit)
 
 
 def _witness_box(found, values, pairs, cells, unit) -> Box:
@@ -260,10 +290,12 @@ def largest_empty_box(points: PointSet, *, limit: int | None = None) -> Dispersi
     """Exact dispersion of a point set with a witness box.
 
     Searches every candidate box (per-axis endpoint pairs drawn from the
-    coordinates plus {0, 1}) with the prefix-sum kernel; refuses before any
-    per-point work when the candidate count exceeds the enumeration limit.
-    Ties resolve to the lexicographically smallest witness endpoint vector, as
-    an exhaustive scan that keeps only strict improvements would find.
+    coordinates plus {0, 1}) with the prefix-sum kernel, sweeping the last
+    axis by its widest empty gaps; refuses before any per-point work when
+    the box prefixes times the last-axis endpoints exceed the enumeration
+    limit. Ties resolve to the lexicographically smallest witness endpoint
+    vector, as an exhaustive scan that keeps only strict improvements would
+    find.
     """
     unit = _unit(points)
     best, witness = _search(points, 0 * unit, limit, first=False)
@@ -278,9 +310,10 @@ def has_empty_box_above(
 
     Equivalent to ``largest_empty_box(points).volume > threshold``. Runs the
     same blocks with the threshold as the starting best and stops after the
-    first block holding an empty box above it, so the witness is some empty
-    box above the threshold, not necessarily a maximal one. The guard is
-    checked first, as in ``largest_empty_box``.
+    first block holding an empty box above it. The witness is that block's
+    largest empty box (its lexicographically first one on ties): maximal
+    among the boxes whose axis-0 pair lies in the block, not necessarily
+    overall. The guard is checked first, as in ``largest_empty_box``.
     """
     unit = _unit(points)
     if isinstance(unit, int):

@@ -2,7 +2,8 @@
 
 Each oracle recomputes a quantity by a different route than the library:
 plain unpruned and shrunken closed-box scans and a recursive pruned bitmask
-scan for the dispersion, inclusion-exclusion surjection counts and a
+scan and the former pair-enumerating block scan for the dispersion,
+inclusion-exclusion surjection counts and a
 per-outcome empty-box search for exact failure probabilities, grid
 enumeration for hit probabilities, a per-class loop over rebuilt classes
 for the hit-probability audit, classification of a fine mesh of boxes
@@ -29,7 +30,18 @@ from dispgrid import (
     hit_probability,
     probability,
 )
+from dispgrid import empty_box
 from dispgrid.construct import BLOCK_CLASSES, _generator, _sample
+from dispgrid.empty_box import (
+    _box_volumes,
+    _distinct,
+    _inside_counts,
+    _occupancy_prefix,
+    _pairs,
+    _unit,
+    _witness_box,
+)
+from dispgrid.guards import DEFAULT_ENUMERATION_LIMIT, check_enumeration
 from dispgrid.probability import HitProbabilityAudit
 
 
@@ -160,6 +172,56 @@ def pruned_scan_largest_empty_box(points: PointSet):
     )
     volume = Fraction(best, unit**d) if points.repr == "grid" else best
     return volume, witness
+
+
+def pair_scan_search(points: PointSet, best, limit: int | None = None, *, first: bool = False):
+    """Empty candidate box of largest volume strictly above `best`, by enumerating every pair.
+
+    The exact oracle's former kernel, with the signature and scan units of
+    ``empty_box._search``: it counts the C(c, 2)^d candidate boxes against the
+    enumeration guard, bins the points into prefix sums over the candidate
+    endpoints, and evaluates every candidate box in blocks of consecutive
+    axis-0 endpoint pairs (``empty_box.BLOCK_BOXES``, read at call time). A
+    block is skipped when its widest axis-0 pair times unit^(d-1) cannot
+    strictly beat the best, and its first maximiser replaces the best only on
+    strict improvement. With `first` set it stops after the first block
+    holding an empty box above `best`. Returns (volume, witness box or None).
+    """
+    unit = _unit(points)
+    cols = points.points.T
+    if isinstance(unit, int) and unit**points.dim >= 2**63:
+        cols = cols.astype(object)
+    values = [_distinct(np.concatenate((col, [0, unit]))) for col in cols]
+    count = math.prod(len(v) * (len(v) - 1) // 2 for v in values)
+    check_enumeration("candidate boxes", count, limit, DEFAULT_ENUMERATION_LIMIT)
+
+    cells = [np.searchsorted(v, col) for v, col in zip(values, cols)]
+    shape = tuple(len(v) for v in values)
+    occupancy = np.bincount(np.ravel_multi_index(cells, shape), minlength=math.prod(shape))
+    prefix = _occupancy_prefix(occupancy.reshape(shape))
+    pairs = [_pairs(len(v)) for v in values]
+    widths = [v[hi] - v[lo] for v, (lo, hi) in zip(values, pairs)]
+
+    cap = unit ** (points.dim - 1)
+    step = max(1, empty_box.BLOCK_BOXES // math.prod(len(w) for w in widths[1:]))
+    lo0, hi0 = pairs[0]
+    found = None
+    for start in range(0, len(widths[0]), step):
+        block = slice(start, start + step)
+        if widths[0][block].max() * cap <= best:
+            continue
+        counts = _inside_counts(prefix, [(lo0[block], hi0[block]), *pairs[1:]])
+        empty = counts == 0
+        volumes = np.where(empty, _box_volumes([widths[0][block], *widths[1:]]), 0)
+        at = np.unravel_index(np.argmax(volumes), volumes.shape)
+        if empty[at] and volumes[at] > best:
+            best = type(unit)(volumes[at])
+            found = (start + at[0],) + at[1:]
+            if first:
+                break
+    if found is None:
+        return best, None
+    return best, _witness_box(found, values, pairs, cells, unit)
 
 
 def surjection_count(values: int, draws: int) -> int:

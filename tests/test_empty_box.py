@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dispgrid import Box, PointSet, full_grid, has_empty_box_above, largest_empty_box
+from dispgrid import Box, PointSet, empty_box, full_grid, has_empty_box_above, largest_empty_box
 from dispgrid.empty_box import batch_has_empty_box_above
 from dispgrid.guards import GuardExceeded
 
 from oracles import (
     exhaustive_largest_empty_box,
+    pair_scan_search,
     pruned_scan_largest_empty_box,
     shrink_oracle_dispersion,
 )
@@ -174,13 +176,12 @@ class TestLargestEmptyBox:
     def test_guard_refuses_before_scanning_points(self, search):
         rng = random.Random(17)
         pts = PointSet.from_reals(2, [(rng.random(), rng.random()) for _ in range(2000)])
-        expected = 1
-        for axis in range(2):
-            c = len({0.0, 1.0, *(row[axis] for row in pts.points)})
-            expected *= c * (c - 1) // 2
+        # box prefixes (axis-0 endpoint pairs) times axis-1 endpoints
+        c0, c1 = (len({0.0, 1.0, *pts.points[:, axis].tolist()}) for axis in range(2))
         with pytest.raises(GuardExceeded) as info:
             search(pts)
-        assert info.value.count == expected
+        assert info.value.count == c0 * (c0 - 1) // 2 * c1
+        assert info.value.count > 4.0e9
 
     def test_shrink_oracle_agreement_real(self):
         rng = random.Random(23)
@@ -238,6 +239,75 @@ class TestLargestEmptyBox:
                 moved.contains(v)
                 for v in PointSet.from_numerators(3, 3, permuted).values()
             )
+
+
+def _pair_scan(pts: PointSet, threshold=0):
+    """``pair_scan_search`` from `threshold` in its scan units: (volume, witness or None)."""
+    if pts.repr == "grid":
+        unit = 2**pts.k
+        best, witness = pair_scan_search(pts, math.floor(Fraction(threshold) * unit**pts.dim))
+        return Fraction(best, unit**pts.dim), witness
+    return pair_scan_search(pts, float(threshold))
+
+
+def _sweep_cases(seed: int, count: int):
+    """Random grid (k = 2-4 and 40) and real point sets in d = 1-4, sized for the pair scan."""
+    rng = random.Random(seed)
+    cases = [PointSet.from_numerators(2, 3, []), PointSet.from_reals(2, [])]
+    for _ in range(count):
+        d = rng.choice([1, 2, 3, 4])
+        n = rng.randrange(0, (20, 14, 7, 5)[d - 1])
+        k = rng.choice([2, 3, 4, 40, None])  # at k=40 volume numerators outgrow int64
+        if k:
+            rows = [tuple(rng.randrange(1, 2**k) for _ in range(d)) for _ in range(n)]
+        else:
+            # exact 0, 1/2 and 1 coordinates put points on the boundary and on ties
+            rows = [tuple(rng.choice([rng.random(), 0.0, 0.5, 1.0]) for _ in range(d))
+                    for _ in range(n)]
+        if rng.random() < 0.5:
+            rows += rows[:3]  # repeated points
+        cases.append(PointSet.from_numerators(k, d, rows) if k else PointSet.from_reals(d, rows))
+    return cases
+
+
+class TestGapSweepMatchesPairScan:
+    """The last-axis gap sweep against the former pair-enumerating block scan."""
+
+    @pytest.mark.parametrize("block_boxes", [empty_box.BLOCK_BOXES, 40, 1])
+    def test_volume_witness_and_threshold(self, block_boxes, monkeypatch):
+        # small blocks split every search into many blocks, most of them skipped
+        monkeypatch.setattr(empty_box, "BLOCK_BOXES", block_boxes)
+        for pts in _sweep_cases(block_boxes, 150):
+            volume, witness = _pair_scan(pts)
+            result = largest_empty_box(pts)
+            assert result.volume == volume
+            assert result.witness == witness
+            for t in (volume / 3, volume / 2, volume):
+                found = has_empty_box_above(pts, t).found
+                assert found == (_pair_scan(pts, t)[1] is not None) == (volume > t)
+
+    def test_float_product_tie_keeps_the_first_pair(self):
+        # (0, 3/4) x (0, a) and (0, 3/4) x (b, 1) are the largest empty boxes; the second is
+        # one ulp wider, but both volumes round to the same float, so the first pair wins
+        h, a, b = 0.75, 0.35000000000000037, 0.6499999999999996
+        assert a < 1.0 - b and h * a == h * (1.0 - b)
+        rows = [(h * i / 10, y) for i in range(1, 10) for y in (a, 0.5, b)]
+        rows += [(x, j / 20) for x in (h, 0.875) for j in range(1, 20)]
+        pts = PointSet.from_reals(2, rows)
+        result = largest_empty_box(pts)
+        assert (result.volume, result.witness) == pair_scan_search(pts, 0.0)
+        assert result.witness == Box((0.0, 0.0), (h, a), (False, False), (True, True))
+
+    def test_real_d2_beyond_the_pair_scan_guard(self):
+        # C(152, 2)^2 = 1.32e8 candidate boxes exceed the default guard; the sweep needs 1.7e6
+        rng = random.Random(150)
+        pts = PointSet.from_reals(2, [(rng.random(), rng.random()) for _ in range(150)])
+        with pytest.raises(GuardExceeded):
+            pair_scan_search(pts, 0.0)
+        volume, witness = pair_scan_search(pts, 0.0, 2 * 10**8)
+        result = largest_empty_box(pts)
+        assert result.volume == volume
+        assert result.witness == witness
 
 
 class TestHasEmptyBoxAbove:
