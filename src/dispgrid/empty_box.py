@@ -221,8 +221,9 @@ def _search(points: PointSet, best, limit: int | None, *, first: bool):
     order; a block is skipped when its widest axis-0 pair times unit^(d-1)
     cannot strictly beat the best so far. A block's first maximal prefix
     replaces the best only on strict improvement, and the winning prefix's
-    last-axis pair is the first maximiser among that row's pairs, so the
-    result is the lexicographically smallest maximal witness; volumes are
+    last-axis pair is the first maximiser among that row's pairs, found in
+    one pass over its endpoints without listing the pairs, so the result is
+    the lexicographically smallest maximal witness; volumes are
     multiplied in axis order, so float ties resolve as over all pairs. With
     `first` set it stops after the first block holding an empty box above
     `best`. Returns (volume, witness box or None when none beats `best`).
@@ -267,13 +268,31 @@ def _search(points: PointSet, best, limit: int | None, *, first: bool):
                 break
     if found is None:
         return best, None
-    # the winning prefix's first maximal last-axis pair, as a scan of that row's pairs finds it
     at, row, height = found
-    lo, hi = pairs_last = _pairs(len(last))
-    inside = _inside_counts(_occupancy_prefix(row), [pairs_last])
-    volumes = np.where(inside == 0, height * (last[hi] - last[lo]), 0)
-    found = (*np.unravel_index(at, [len(w) for w in widths]), np.argmax(volumes))
-    return best, _witness_box(found, values, [*pairs, pairs_last], cells, unit)
+    found = (*np.unravel_index(at, [len(w) for w in widths]), 0)
+    pair_last = _first_widest_pair(row > 0, last, height)
+    return best, _witness_box(found, values, [*pairs, pair_last], cells, unit)
+
+
+def _first_widest_pair(occupied: np.ndarray, last: np.ndarray, height):
+    """First maximiser (i, j) of height * (last[j] - last[i]) over the empty pairs of one row.
+
+    A pair i < j is empty when no endpoint strictly between them is occupied,
+    so the empty pairs from i end at j <= next(i), the first occupied
+    endpoint above i (or the last endpoint). Their volumes are non-decreasing
+    in j, floats included, so each i's best is at next(i), the first i whose
+    best equals the maximum holds the lexicographically first maximiser, and
+    its j is the first in i+1 .. next(i) reaching the maximum: the pair a
+    scan of all the row's pairs keeps, in O(c) work. Returns ([i], [j]).
+    """
+    ends = np.arange(len(last))
+    nearest = np.minimum.accumulate(np.where(occupied, ends, len(last) - 1)[::-1])[::-1]
+    reach = nearest[1:]  # next(i) for i = 0 .. c-2
+    volumes = height * (last[reach] - last[:-1])
+    top = volumes.max()
+    i = int(np.argmax(volumes == top))
+    span = height * (last[i + 1 : reach[i] + 1] - last[i])
+    return [i], [i + 1 + int(np.argmax(span == top))]
 
 
 def _witness_box(found, values, pairs, cells, unit) -> Box:

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -267,7 +268,21 @@ def _sweep_cases(seed: int, count: int):
         if rng.random() < 0.5:
             rows += rows[:3]  # repeated points
         cases.append(PointSet.from_numerators(k, d, rows) if k else PointSet.from_reals(d, rows))
+    # head axes with one value each leave few box prefixes over a long last axis
+    ys = [rng.random() for _ in range(40)]
+    cases.append(PointSet.from_reals(2, [(0.5, y) for y in ys]))
+    cases.append(PointSet.from_reals(3, [(0.25, 0.75, y) for y in ys + [0.0, 1.0]]))
     return cases
+
+
+def _traced_peak(call):
+    """Result of `call()` and the peak bytes traced while it ran (numpy buffers included)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestGapSweepMatchesPairScan:
@@ -308,6 +323,32 @@ class TestGapSweepMatchesPairScan:
         result = largest_empty_box(pts)
         assert result.volume == volume
         assert result.witness == witness
+
+    def test_d1_reals_find_the_witness_without_the_endpoint_pairs(self):
+        # the guard counts 20,003 endpoints; their C(20003, 2) = 2e8 pairs would take gigabytes
+        rng = random.Random(1)
+        xs = [rng.random() for _ in range(20_000)] + [0.5, 0.5, 1.0]
+        pts = PointSet.from_reals(1, [(x,) for x in xs])
+        result, peak = _traced_peak(lambda: largest_empty_box(pts))
+        assert peak < 16 * 2**20
+        # in d=1 every inner endpoint is a point, so the empty boxes are the gaps between neighbours
+        ends = sorted({0.0, *xs})
+        gaps = [hi - lo for lo, hi in zip(ends, ends[1:])]
+        i = gaps.index(max(gaps))
+        assert result.volume == gaps[i]
+        assert result.witness == Box((ends[i],), (ends[i + 1],), (i > 0,), (True,))
+        assert has_empty_box_above(pts, gaps[i] / 2).found
+        assert not has_empty_box_above(pts, gaps[i]).found
+
+    def test_d2_single_x_value_finds_the_witness_without_the_endpoint_pairs(self):
+        # 3 axis-0 pairs x 20,002 axis-1 endpoints pass the guard; the axis-1 pairs are 2e8
+        rng = random.Random(2)
+        pts = PointSet.from_reals(2, [(0.5, rng.random()) for _ in range(20_000)])
+        result, peak = _traced_peak(lambda: largest_empty_box(pts))
+        assert peak < 16 * 2**20
+        # no point lies strictly inside x in (0, 1/2) or (1/2, 1); every gap in y is far below 1/2
+        assert result.volume == 0.5
+        assert result.witness == Box((0.0, 0.0), (0.5, 1.0), (False, False), (True, False))
 
 
 class TestHasEmptyBoxAbove:
