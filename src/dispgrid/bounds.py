@@ -17,6 +17,7 @@ from .grid import exact_fraction, k_from_epsilon, require_k
 from .partition import short_side_threshold
 
 _EPS_HALF_OPEN = (0.0, 0.5)
+UPPER_BOUND_REL_TOL = 1e-9  # relative precision of dispersion_upper_bound's bisection
 
 
 def _check_eps(eps) -> float:
@@ -74,8 +75,8 @@ def dispersion_lower_bound(n: int, d: int) -> float:
     return log2d / (4.0 * (n + log2d))
 
 
-def dispersion_upper_bound(n: int, d: int, *, rel_tol: float = 1e-9) -> float:
-    """Smallest eps (to relative precision rel_tol) whose main point count fits in n.
+def dispersion_upper_bound(n: int, d: int) -> float:
+    """Smallest eps (to relative precision UPPER_BOUND_REL_TOL) whose main point count fits in n.
 
     The main bound is strictly decreasing in eps on (0, 1/2), so a bisection
     is well defined. When even eps just below 1/2 needs more than n points,
@@ -94,7 +95,7 @@ def dispersion_upper_bound(n: int, d: int, *, rel_tol: float = 1e-9) -> float:
             raise OverflowError("bisection bracket underflow")
     # invariant: count(lo) > n >= count(hi)
     for _ in range(200):
-        if hi - lo <= rel_tol * hi:
+        if hi - lo <= UPPER_BOUND_REL_TOL * hi:
             break
         mid = 0.5 * (lo + hi)
         if points_for_dispersion(mid, d) <= n:

@@ -20,13 +20,11 @@ another grid rounded onto this one, a fail implies nothing about the true
 dispersion. One kernel counts the points in every core box by
 inclusion-exclusion over the corners of a prefix-sum occupancy table on the
 grid numerators 1 .. 2^k - 1, for one point set or for a chunk of Monte
-Carlo trials at once; the first class in table order whose count is zero is
-the witness. A corner below anchor 1 would count zero, so a class reads
-only the 2^l corners of its l axes with anchor above 1, from a matrix of
-corner cells cached beside the feasible-class table of partition.py.
+Carlo trials at once, reading each class's corners off the corner matrix of
+its feasible-class table; the first class in table order whose count is zero
+is the witness.
 """
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -34,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import n_required
-from .grid import GRID_REPR, PointSet, require_k
+from .grid import GRID_REPR, PointSet, grid_numerators, require_k
 from .guards import DEFAULT_ENUMERATION_LIMIT, check_enumeration
-from .partition import BoxClass, _class_table, feasible_class_table
+from .partition import BoxClass, ClassTable, feasible_class_table
 
 RNG_SCHEME = "pcg64-seedsequence-v1"
 
@@ -122,16 +120,12 @@ def _draw(rng: np.random.Generator, k: int, d: int, n: int) -> np.ndarray:
     return rng.integers(1, 2**k, size=(n, d))
 
 
-def _sample(rng: np.random.Generator, k: int, d: int, n: int) -> PointSet:
-    return PointSet.from_numerators(k, d, _draw(rng, k, d, n))
-
-
 def sample_grid_points(k, d: int, n: int, seed: int) -> PointSet:
     """n points with i.i.d. coordinates uniform on the grid, determined by the seed."""
     kk = require_k(k)
     if d < 1 or n < 1:
         raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
-    return _sample(_generator(seed), kk, d, n)
+    return PointSet.from_numerators(kk, d, _draw(_generator(seed), kk, d, n))
 
 
 def full_grid(k, d: int, *, limit: int | None = None) -> PointSet:
@@ -139,58 +133,15 @@ def full_grid(k, d: int, *, limit: int | None = None) -> PointSet:
     kk = require_k(k)
     if d < 1:
         raise ValueError(f"need d >= 1, got d={d}")
-    g = 2**kk - 1
-    check_enumeration("full grid", g**d, limit, DEFAULT_ENUMERATION_LIMIT)
-    # row-major order of the index grid is the lexicographic order of the points
-    return PointSet.from_numerators(kk, d, np.indices((g,) * d).reshape(d, -1).T + 1)
-
-
-def _corner_matrix(k: int, anchors: np.ndarray, spans: np.ndarray) -> np.ndarray:
-    """Cells of the certificate kernel's table that sum to each class's core count.
-
-    Returns a (classes, 2^L) matrix of cell indices into the row-major
-    cumulative table over the numerators 1 .. 2^k - 1 per axis, whose
-    (2^k - 1)^d cells are followed by one zero cell. L is the largest number
-    of axes with anchor > 1 in any class. Column t starts at the core's top
-    cell, anchor + span - 1 on every axis, and steps to the cell below the
-    core, anchor - 1, on the class's anchor>1 axes picked by the set bits of
-    t; it enters the count with sign (-1)^popcount(t). A corner below anchor
-    1 lies outside the table and counts zero, so it has no column. Columns
-    past a class's own 2^l corners read the zero cell.
-    """
-    d = anchors.shape[1]
-    g = 2**k - 1
-    strides = g ** np.arange(d - 1, -1, -1)
-    low = anchors > 1
-    depth = low.sum(axis=1)
-    width = int(depth.max(initial=0))
-    # a class's steps on its anchor>1 axes in axis order; the steps past its
-    # own depth belong to other axes and only feed columns that read zero
-    order = np.argsort(~low, axis=1, kind="stable")[:, :width]
-    steps = np.take_along_axis(spans * strides, order, axis=1)
-    top = (anchors + spans - 2) @ strides
-    # built one column at a time, to hold no (classes, 2^L) temporaries, and
-    # returned column-major, so that each column the kernel reads is contiguous
-    corners = np.empty((2**width, len(top)), dtype=top.dtype)
-    for column, cells in enumerate(corners):
-        np.subtract(top, steps @ (column >> np.arange(width) & 1), out=cells)
-        cells[depth < column.bit_length()] = g**d
-    return corners.T
-
-
-@functools.lru_cache(maxsize=8)
-def _class_corners(k: int, d: int) -> np.ndarray:
-    """The corner matrix of the cached class table; call after feasible_class_table."""
-    corners = _corner_matrix(k, *_class_table(k, d))
-    corners.flags.writeable = False
-    return corners
+    check_enumeration("full grid", (2**kk - 1) ** d, limit, DEFAULT_ENUMERATION_LIMIT)
+    return PointSet.from_numerators(kk, d, grid_numerators(kk, d))
 
 
 def _first_misses(numerators: np.ndarray, k: int, corners: np.ndarray) -> np.ndarray:
     """Table position of each trial's first feasible class with an empty core.
 
     ``numerators`` is a (trials, n, d) array of grid numerators and
-    ``corners`` the class table's corner matrix (see _corner_matrix); a
+    ``corners`` the class table's corner matrix (see ClassTable.corners); a
     trial that hits every core gets ``len(corners)``. The points are counted
     into one occupancy table on the numerators 1 .. 2^k - 1 per axis plus a
     trailing zero cell, with the trial as last axis, so that reading one cell
@@ -251,11 +202,15 @@ def certify_dispersion(points: PointSet, k, *, limit: int | None = None) -> Cert
         raise ValueError("certificate requires a grid-valued point set")
     if points.k != kk:
         raise ValueError(f"point set has resolution k={points.k}, certificate asked for k={kk}")
-    anchors, spans = feasible_class_table(kk, points.dim, limit=limit)
-    i = int(_first_misses(points.points[None], kk, _class_corners(kk, points.dim))[0])
-    if i == len(anchors):
+    table = feasible_class_table(kk, points.dim, limit=limit)
+    return _certificate(table, int(_first_misses(points.points[None], kk, table.corners)[0]))
+
+
+def _certificate(table: ClassTable, i: int) -> CertificateResult:
+    """The certificate of a set whose first empty core is at table row i, or past the last row."""
+    if i == len(table.anchors):
         return CertificateResult(passed=True, classes_checked=i, witness=None)
-    witness = BoxClass(k=kk, anchor=tuple(anchors[i].tolist()), span=tuple(spans[i].tolist()))
+    witness = BoxClass(table.k, tuple(table.anchors[i].tolist()), tuple(table.spans[i].tolist()))
     return CertificateResult(passed=False, classes_checked=i + 1, witness=witness)
 
 
@@ -264,20 +219,23 @@ def generate_certified(
 ) -> GeneratedSet:
     """Sample until the certificate passes; attempt i uses spawn index i.
 
-    Raises CertificationError after max_attempts failures, carrying the best
-    attempt's certificate (the one that got past the most classes).
+    The guard is checked once, before the first draw, and only the set that
+    passes becomes a PointSet. Raises CertificationError after max_attempts
+    failures, carrying the best attempt's certificate (the one that got past
+    the most classes).
     """
     kk = require_k(k)
     if max_attempts < 1:
         raise ValueError(f"need max_attempts >= 1, got {max_attempts}")
-    best: CertificateResult | None = None
+    table = feasible_class_table(kk, d, limit=limit)
+    reached = 0
     for attempt in range(max_attempts):
-        pts = _sample(_generator(seed, attempt), kk, d, n)
-        cert = certify_dispersion(pts, kk, limit=limit)
-        if cert.passed:
-            return GeneratedSet(points=pts, attempts=attempt + 1)
-        if best is None or cert.classes_checked > best.classes_checked:
-            best = cert
+        numerators = _draw(_generator(seed, attempt), kk, d, n)
+        i = int(_first_misses(numerators[None], kk, table.corners)[0])
+        if i == len(table.anchors):
+            return GeneratedSet(PointSet.from_numerators(kk, d, numerators), attempt + 1)
+        reached = max(reached, i)
+    best = _certificate(table, reached)
     raise CertificationError(
         f"no certified set in {max_attempts} attempts "
         f"(best attempt missed class {best.witness})",
@@ -286,11 +244,12 @@ def generate_certified(
     )
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z_95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval at 95% confidence for a binomial proportion."""
     if not (0 <= successes <= trials) or trials < 1:
         raise ValueError(f"need 0 <= successes <= trials, got {successes}/{trials}")
     phat = successes / trials
+    z = WILSON_Z_95
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2.0 * trials)) / denom
@@ -334,8 +293,7 @@ def monte_carlo_success(
             DeprecationWarning,
             stacklevel=2,
         )
-    feasible_class_table(kk, d, limit=limit)
-    corners = _class_corners(kk, d)
+    corners = feasible_class_table(kk, d, limit=limit).corners
     classes = len(corners)
     chunk = _trials_per_chunk(kk, d, n, classes)
     successes = 0

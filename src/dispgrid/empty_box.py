@@ -204,7 +204,7 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
-def _search(points: PointSet, best, limit: int | None, *, first: bool):
+def _search(points: PointSet, best, limit: int | None):
     """Empty candidate box of largest volume strictly above `best`, in scan units.
 
     Endpoint pairs are enumerated on axes 0 .. d-2 only; each such box prefix
@@ -224,9 +224,8 @@ def _search(points: PointSet, best, limit: int | None, *, first: bool):
     last-axis pair is the first maximiser among that row's pairs, found in
     one pass over its endpoints without listing the pairs, so the result is
     the lexicographically smallest maximal witness; volumes are
-    multiplied in axis order, so float ties resolve as over all pairs. With
-    `first` set it stops after the first block holding an empty box above
-    `best`. Returns (volume, witness box or None when none beats `best`).
+    multiplied in axis order, so float ties resolve as over all pairs.
+    Returns (volume, witness box or None when none beats `best`).
     """
     unit = _unit(points)
     cols = points.points.T
@@ -264,8 +263,6 @@ def _search(points: PointSet, best, limit: int | None, *, first: bool):
         if volumes[at] > best:
             best = type(unit)(volumes[at])  # a Python int or float, as the callers expect
             found = start * rows + at, counts[:, at], heights[at]
-            if first:
-                break
     if found is None:
         return best, None
     at, row, height = found
@@ -317,7 +314,7 @@ def largest_empty_box(points: PointSet, *, limit: int | None = None) -> Dispersi
     find.
     """
     unit = _unit(points)
-    best, witness = _search(points, 0 * unit, limit, first=False)
+    best, witness = _search(points, 0 * unit, limit)
     volume = Fraction(best, unit**points.dim) if isinstance(unit, int) else best
     return DispersionResult(volume=volume, witness=witness)
 
@@ -327,12 +324,11 @@ def has_empty_box_above(
 ) -> ThresholdWitness:
     """Whether some candidate box with volume strictly above `threshold` is empty.
 
-    Equivalent to ``largest_empty_box(points).volume > threshold``. Runs the
-    same blocks with the threshold as the starting best and stops after the
-    first block holding an empty box above it. The witness is that block's
-    largest empty box (its lexicographically first one on ties): maximal
-    among the boxes whose axis-0 pair lies in the block, not necessarily
-    overall. The guard is checked first, as in ``largest_empty_box``.
+    Equivalent to ``largest_empty_box(points).volume > threshold``: the same
+    search, with the threshold as the starting best, so that every block
+    that cannot beat it is skipped. The witness, when found, is therefore
+    ``largest_empty_box(points).witness``. The guard is checked first, as in
+    ``largest_empty_box``.
     """
     unit = _unit(points)
     if isinstance(unit, int):
@@ -340,7 +336,7 @@ def has_empty_box_above(
         thr = math.floor(exact_fraction(threshold) * unit**points.dim)
     else:
         thr = float(threshold)
-    _, witness = _search(points, thr, limit, first=True)
+    _, witness = _search(points, thr, limit)
     return ThresholdWitness(witness is not None, witness)
 
 

@@ -31,8 +31,8 @@ from typing import Iterator
 import numpy as np
 
 from .empty_box import Box
-from .grid import GridParams, exact_fraction, require_k
-from .guards import DEFAULT_ENUMERATION_LIMIT, check_enumeration
+from .grid import exact_fraction, grid_numerators, require_k
+from .guards import check_enumeration
 
 
 @dataclass(frozen=True)
@@ -183,33 +183,87 @@ def classify_box(box: Box, k) -> BoxClass:
     return BoxClass(k=kk, anchor=tuple(anchor), span=tuple(span))
 
 
-def feasible_class_table(k, d: int, *, limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Anchors and spans of every feasible class, as two read-only (count, d) arrays.
+@dataclass(frozen=True, eq=False)
+class ClassTable:
+    """Every feasible class of one (k, d), as read-only (count, d) anchor and span arrays.
 
-    Rows are in lexicographic (span, anchor) order: spans in lexicographic
-    order, and each feasible span's anchors in lexicographic order. The
-    enumeration guard is checked on every call, before the cached table is
-    consulted.
+    Rows run over the feasible spans in lexicographic order, each span's
+    anchors in lexicographic order.
+    """
+
+    k: int
+    anchors: np.ndarray
+    spans: np.ndarray
+
+    @functools.cached_property
+    def corners(self) -> np.ndarray:
+        """Cells of the certificate kernel's table that sum to each class's core count.
+
+        Built on first use, as a read-only (classes, 2^L) matrix of cell
+        indices into the row-major cumulative table over the numerators
+        1 .. 2^k - 1 per axis, whose (2^k - 1)^d cells are followed by one zero
+        cell. L is the largest number of axes with anchor > 1 in any class.
+        Column t starts at the core's top cell, anchor + span - 1 on every
+        axis, and steps to the cell below the core, anchor - 1, on the class's
+        anchor>1 axes picked by the set bits of t; it enters the count with
+        sign (-1)^popcount(t). A corner below anchor 1 lies outside the table
+        and counts zero, so it has no column. Columns past a class's own 2^l
+        corners read the zero cell.
+        """
+        anchors, spans = self.anchors, self.spans
+        d = anchors.shape[1]
+        g = 2**self.k - 1
+        strides = g ** np.arange(d - 1, -1, -1)
+        low = anchors > 1
+        depth = low.sum(axis=1)
+        width = int(depth.max(initial=0))
+        # a class's steps on its anchor>1 axes in axis order; the steps past its
+        # own depth belong to other axes and only feed columns that read zero
+        order = np.argsort(~low, axis=1, kind="stable")[:, :width]
+        steps = np.take_along_axis(spans * strides, order, axis=1)
+        top = (anchors + spans - 2) @ strides
+        # built one column at a time, to hold no (classes, 2^L) temporaries, and
+        # returned column-major, so that each column the kernel reads is contiguous
+        corners = np.empty((2**width, len(top)), dtype=top.dtype)
+        for column, cells in enumerate(corners):
+            np.subtract(top, steps @ (column >> np.arange(width) & 1), out=cells)
+            cells[depth < column.bit_length()] = g**d
+        corners.flags.writeable = False
+        return corners.T
+
+
+def feasible_class_table(k, d: int, *, limit: int | None = None) -> ClassTable:
+    """The cached table of every feasible class at resolution k in dimension d.
+
+    The guard counts what is built, on every call: the d * (2^k - 1)^d span
+    grid entries before the grid exists, then the classes times their 2d
+    anchor and span entries plus 2^L corner columns before the anchors are
+    expanded, a count cached with the feasible spans.
     """
     kk = require_k(k)
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
-    m = 2**kk
-    check_enumeration(
-        "box-class enumeration", (m**d) * ((m - 1) ** d), limit, DEFAULT_ENUMERATION_LIMIT
-    )
+    check_enumeration("span grid", d * (2**kk - 1) ** d, limit)
+    check_enumeration("box-class table", _feasible_spans(kk, d)[1], limit)
     return _class_table(kk, d)
 
 
 @functools.lru_cache(maxsize=8)
-def _class_table(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+def _feasible_spans(k: int, d: int) -> tuple[np.ndarray, int]:
+    """The feasible span vectors in lexicographic order, and the entries of their class table."""
     m = 2**k
-    # every span vector with sides 1 .. 2^k - 1, last axis fastest; whenever
-    # these (m-1)^d rows fit in memory, m^d and so every volume product fits
-    # in int64
-    spans = np.indices((m - 1,) * d).reshape(d, -1).T + 1
+    # whenever the span grid fits in memory, m^d and so every volume product fits in int64
+    spans = grid_numerators(k, d)
     spans = spans[np.prod(spans + 1, axis=1) > m ** (d - 1)]
-    radix = m - spans  # anchors 1 .. 2^k - span per axis
+    # a span below 2^k - 1 admits anchors above 1, each axis of which is a corner axis
+    width = int((spans < m - 1).sum(axis=1).max())
+    return spans, int(np.prod(m - spans, axis=1).sum()) * (2 * d + 2**width)
+
+
+@functools.lru_cache(maxsize=8)
+def _class_table(k: int, d: int) -> ClassTable:
+    spans = _feasible_spans(k, d)[0]
+    radix = 2**k - spans  # anchors 1 .. 2^k - span per axis
     block = np.prod(radix, axis=1)
     owner = np.repeat(np.arange(len(spans)), block)
     offset = np.arange(len(owner)) - np.repeat(np.cumsum(block) - block, block)
@@ -221,15 +275,14 @@ def _class_table(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     spans = spans[owner]
     anchors.flags.writeable = False
     spans.flags.writeable = False
-    return anchors, spans
+    return ClassTable(k, anchors, spans)
 
 
 def enumerate_feasible_classes(k, d: int, *, limit: int | None = None) -> Iterator[BoxClass]:
     """All feasible classes at resolution k in dimension d, in table order."""
-    anchors, spans = feasible_class_table(k, d, limit=limit)
-    kk = require_k(k)
-    for anchor, span in zip(anchors.tolist(), spans.tolist()):
-        yield BoxClass(k=kk, anchor=tuple(anchor), span=tuple(span))
+    table = feasible_class_table(k, d, limit=limit)
+    for anchor, span in zip(table.anchors.tolist(), table.spans.tolist()):
+        yield BoxClass(k=table.k, anchor=tuple(anchor), span=tuple(span))
 
 
 def anchor_count(span, k) -> int:
@@ -284,7 +337,7 @@ class CountAudit:
 
 
 def count_audit(k, d: int, *, limit: int | None = None) -> CountAudit:
-    exact = len(feasible_class_table(k, d, limit=limit)[0])
+    exact = len(feasible_class_table(k, d, limit=limit).anchors)
     return CountAudit(
         k=require_k(k),
         d=d,

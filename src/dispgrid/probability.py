@@ -89,7 +89,8 @@ def audit_hit_probabilities(k, d: int, *, limit: int | None = None) -> HitProbab
     shrink = 1.0 - 1.0 / (kk * 2**kk)
     exponent = kk / (kk - 1)
 
-    anchors, spans = feasible_class_table(kk, d, limit=limit)
+    table = feasible_class_table(kk, d, limit=limit)
+    anchors, spans = table.anchors, table.spans
     g = 2**kk - 1
     hits = np.prod(spans, axis=1)
     hit_prob = hits / g**d

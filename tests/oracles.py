@@ -31,7 +31,7 @@ from dispgrid import (
     probability,
 )
 from dispgrid import empty_box
-from dispgrid.construct import BLOCK_CLASSES, _generator, _sample
+from dispgrid.construct import BLOCK_CLASSES, _draw, _generator
 from dispgrid.empty_box import (
     _box_volumes,
     _distinct,
@@ -174,7 +174,7 @@ def pruned_scan_largest_empty_box(points: PointSet):
     return volume, witness
 
 
-def pair_scan_search(points: PointSet, best, limit: int | None = None, *, first: bool = False):
+def pair_scan_search(points: PointSet, best, limit: int | None = None):
     """Empty candidate box of largest volume strictly above `best`, by enumerating every pair.
 
     The exact oracle's former kernel, with the signature and scan units of
@@ -184,8 +184,7 @@ def pair_scan_search(points: PointSet, best, limit: int | None = None, *, first:
     axis-0 endpoint pairs (``empty_box.BLOCK_BOXES``, read at call time). A
     block is skipped when its widest axis-0 pair times unit^(d-1) cannot
     strictly beat the best, and its first maximiser replaces the best only on
-    strict improvement. With `first` set it stops after the first block
-    holding an empty box above `best`. Returns (volume, witness box or None).
+    strict improvement. Returns (volume, witness box or None).
     """
     unit = _unit(points)
     cols = points.points.T
@@ -217,8 +216,6 @@ def pair_scan_search(points: PointSet, best, limit: int | None = None, *, first:
         if empty[at] and volumes[at] > best:
             best = type(unit)(volumes[at])
             found = (start + at[0],) + at[1:]
-            if first:
-                break
     if found is None:
         return best, None
     return best, _witness_box(found, values, pairs, cells, unit)
@@ -397,7 +394,9 @@ def reference_monte_carlo(k: int, d: int, n: int, trials: int, master_seed: int)
     outcomes.
     """
     return [
-        certify_dispersion(_sample(_generator(master_seed, i), k, d, n), k).passed
+        certify_dispersion(
+            PointSet.from_numerators(k, d, _draw(_generator(master_seed, i), k, d, n)), k
+        ).passed
         for i in range(trials)
     ]
 

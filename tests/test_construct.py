@@ -9,6 +9,7 @@ import pytest
 from dispgrid import (
     BoxClass,
     CertificationError,
+    GeneratedSet,
     PointSet,
     SearchLimitExceeded,
     certify_dispersion,
@@ -25,7 +26,7 @@ from dispgrid import (
 )
 from dispgrid import construct
 from dispgrid.guards import GuardExceeded
-from dispgrid.partition import _class_table, feasible_class_table
+from dispgrid.partition import ClassTable, _class_table, _feasible_spans, feasible_class_table
 
 from oracles import gray_code_first_misses, reference_certify, reference_monte_carlo
 
@@ -144,9 +145,9 @@ class TestCertificate:
         # block, the last one included; each trial of one chunk is checked
         # against a scan in that order
         monkeypatch.setattr(construct, "BLOCK_CLASSES", 50)
-        anchors, spans = feasible_class_table(3, 2)
-        order = np.random.default_rng(3).permutation(len(anchors))
-        anchors, spans = anchors[order], spans[order]
+        table = feasible_class_table(3, 2)
+        order = np.random.default_rng(3).permutation(len(table.anchors))
+        anchors, spans = table.anchors[order], table.spans[order]
         last_block = (len(anchors) - 1) // 50
         rng = np.random.default_rng(4)
         numerators = rng.integers(1, 8, size=(200, 60, 2))
@@ -157,7 +158,7 @@ class TestCertificate:
         ]
         lo = np.array([core.lo for core in cores])[:, None]
         hi = np.array([core.hi for core in cores])[:, None]
-        corners = construct._corner_matrix(3, anchors, spans)
+        corners = ClassTable(3, anchors, spans).corners
         first = construct._first_misses(numerators, 3, corners)
         for trial, got in zip(numerators, first.tolist()):
             hit = ((lo <= trial) & (trial <= hi)).all(axis=2).any(axis=1)
@@ -246,7 +247,8 @@ class TestCertificateKernel:
         spread = 0
         outcomes = Counter()
         for k, d in self.CASES:
-            anchors, spans = feasible_class_table(k, d)
+            table = feasible_class_table(k, d)
+            anchors, spans = table.anchors, table.spans
             if len(anchors) > 1000 * block:
                 continue
             cells = (2**k - 1) ** d
@@ -255,7 +257,7 @@ class TestCertificateKernel:
                 for _ in range(3)
             ] + [_thinned_grid_chunk(rng, k, d, 8)]
             for numerators in chunks:
-                first = construct._first_misses(numerators, k, construct._class_corners(k, d))
+                first = construct._first_misses(numerators, k, table.corners)
                 want = gray_code_first_misses(numerators, k, anchors, spans)
                 assert first.tolist() == want.tolist()
                 misses = first[first < len(anchors)]
@@ -276,11 +278,28 @@ class TestCertificateKernel:
                 fails += not cert.passed
         assert 0 < fails < 18
 
+    def test_agrees_with_exact_oracle_at_d8(self):
+        # d=8 was past the former guard proxy; on a grid set at its own k the
+        # certificate is exact, and a missed class leaves its empty box empty
+        rng = random.Random(8)
+        outcomes = set()
+        for _ in range(3):
+            pts = sample_grid_points(2, 8, rng.randint(35, 60), seed=rng.randrange(2**32))
+            cert = certify_dispersion(pts, 2)
+            volume = largest_empty_box(pts).volume
+            assert cert.passed == (volume == Fraction(1, 4))
+            if not cert.passed:
+                box = cert.witness.empty_box()
+                assert not any(box.contains(v) for v in pts.values())
+                assert Fraction(1, 4) < box.volume() <= volume
+            outcomes.add(cert.passed)
+        assert outcomes == {True, False}
+
     def test_corner_matrix_reads_only_cells_that_can_be_nonzero(self):
         # at (2, 7) no class has more than 4 anchors above 1, so 16 columns
         # replace the 128 corners of a 7-dimensional core
-        anchors, spans = feasible_class_table(2, 7)
-        corners = construct._class_corners(2, 7)
+        table = feasible_class_table(2, 7)
+        anchors, spans, corners = table.anchors, table.spans, table.corners
         depth = (anchors > 1).sum(axis=1)
         assert corners.shape == (len(anchors), 16) and depth.max() == 4
         zero_cell = 3**7  # the trailing cell past the grid cells, which no point fills
@@ -319,6 +338,58 @@ class TestGenerateCertified:
         b = generate_certified(2, 1, 10, seed=42, max_attempts=100)
         assert a == b
 
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_matches_reference_attempt_loop(self, d):
+        # attempt i certifies the set drawn with spawn index i by a per-class
+        # scan; on exhaustion the best certificate is the first that got furthest
+        runs = [(8 + 4 * d, d, 8), (2 * d - 1, 10 + d, 4)]
+        draws = [
+            [PointSet.from_numerators(2, d, construct._draw(construct._generator(seed, i), 2, d, n))
+             for i in range(attempts)]
+            for n, seed, attempts in runs
+        ]
+        certs = reference_certify([pts for sets in draws for pts in sets], 2)
+        outcomes = set()
+        for (n, seed, attempts), sets in zip(runs, draws):
+            want, certs = certs[:attempts], certs[attempts:]
+            passed = [i for i, cert in enumerate(want) if cert[0]]
+            if passed:
+                result = generate_certified(2, d, n, seed, max_attempts=attempts)
+                assert result == GeneratedSet(sets[passed[0]], passed[0] + 1)
+            else:
+                with pytest.raises(CertificationError) as info:
+                    generate_certified(2, d, n, seed, max_attempts=attempts)
+                best = info.value.best
+                assert info.value.attempts == attempts
+                assert (best.passed, best.classes_checked, best.witness) == max(
+                    want, key=lambda cert: cert[1]
+                )
+            outcomes.add(bool(passed))
+        assert outcomes == {True, False}
+
+    def test_guard_refuses_before_any_draw(self, monkeypatch):
+        calls = []
+        generator, draw = construct._generator, construct._draw
+
+        def spy_generator(seed, index=None):
+            calls.append(("generator", index))
+            return generator(seed, index)
+
+        def spy_draw(rng, k, d, n):
+            calls.append(("draw", d))
+            return draw(rng, k, d, n)
+
+        monkeypatch.setattr(construct, "_generator", spy_generator)
+        monkeypatch.setattr(construct, "_draw", spy_draw)
+        with pytest.raises(GuardExceeded) as info:
+            generate_certified(2, 15, 100, seed=0)
+        assert info.value.count == 15 * 3**15 and calls == []
+        with pytest.raises(GuardExceeded):
+            generate_certified(2, 2, 100, seed=0, limit=10)
+        assert calls == []
+        generate_certified(2, 2, 100, seed=0)
+        assert calls == [("generator", 0), ("draw", 2)]
+
 
 class TestWilsonInterval:
     def test_contains_phat(self):
@@ -345,12 +416,12 @@ class TestMonteCarlo:
             assert mc.ci_low <= float(exact_success) <= mc.ci_high
 
     def test_cold_cache_threads_match_serial(self):
+        _feasible_spans.cache_clear()
         _class_table.cache_clear()
-        construct._class_corners.cache_clear()
         with pytest.warns(DeprecationWarning):
             threaded = monte_carlo_success(3, 2, 50, trials=64, master_seed=9, threads=2)
+        _feasible_spans.cache_clear()
         _class_table.cache_clear()
-        construct._class_corners.cache_clear()
         serial = monte_carlo_success(3, 2, 50, trials=64, master_seed=9, threads=1)
         assert serial == threaded
         assert 0 < serial.successes < serial.trials
@@ -383,7 +454,7 @@ class TestMonteCarlo:
         self, monkeypatch, k, d, n, chunk_elements, outcome
     ):
         monkeypatch.setattr(construct, "CHUNK_ELEMENTS", chunk_elements)
-        classes = len(feasible_class_table(k, d)[0])
+        classes = len(feasible_class_table(k, d).anchors)
         chunk = construct._trials_per_chunk(k, d, n, classes)
         counts = sorted({1, max(chunk - 1, 1), chunk, chunk + 1, 3 * chunk + 2})
         passes = reference_monte_carlo(k, d, n, counts[-1], master_seed=77)

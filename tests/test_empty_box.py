@@ -301,6 +301,14 @@ class TestGapSweepMatchesPairScan:
                 found = has_empty_box_above(pts, t).found
                 assert found == (_pair_scan(pts, t)[1] is not None) == (volume > t)
 
+    def test_threshold_witness_is_the_largest_empty_box(self):
+        # the threshold search is the full search started at the threshold
+        for pts in _sweep_cases(5, 150):
+            result = largest_empty_box(pts)
+            for t in (0, result.volume / 3, result.volume / 2):
+                assert has_empty_box_above(pts, t) == (True, result.witness)
+            assert has_empty_box_above(pts, result.volume) == (False, None)
+
     def test_float_product_tie_keeps_the_first_pair(self):
         # (0, 3/4) x (0, a) and (0, 3/4) x (b, 1) are the largest empty boxes; the second is
         # one ulp wider, but both volumes round to the same float, so the first pair wins

@@ -19,10 +19,24 @@ from dispgrid import (
     sample_grid_points,
     short_side_threshold,
 )
+from dispgrid import partition
 from dispgrid.guards import GuardExceeded
 from dispgrid.partition import feasible_class_table
 
 from oracles import box_in_class, classes_from_fine_mesh, reference_feasible_classes
+
+
+def table_entries(k, d):
+    """Anchor, span and corner-matrix entries of the feasible-class table, span by span."""
+    m = 2**k
+    spans = [
+        span for span in itertools.product(range(1, m), repeat=d)
+        if math.prod(s + 1 for s in span) > m ** (d - 1)
+    ]
+    classes = sum(math.prod(m - s for s in span) for span in spans)
+    # a span below 2^k - 1 admits an anchor above 1, whose corner below the core is a column
+    width = max(sum(s < m - 1 for s in span) for span in spans)
+    return classes * (2 * d + 2**width)
 
 
 def random_large_box(rng, k, d):
@@ -244,13 +258,53 @@ class TestEnumeration:
         with pytest.raises(GuardExceeded):
             list(enumerate_feasible_classes(2, 2))
 
+    @pytest.mark.parametrize(
+        "k,d,what,count",
+        [
+            (2, 15, "span grid", 215_233_605),
+            (7, 2, "box-class table", 486_996_072),
+            # the former proxy m^d (m-1)^d admitted this table of 1.3e8 entries
+            (13, 1, "box-class table", 134_201_344),
+        ],
+    )
+    def test_default_guard_refuses_with_exact_counts(self, monkeypatch, k, d, what, count):
+        # the span grid is counted before it is built, the table before its anchors are expanded
+        partition._feasible_spans.cache_clear()
+        built = []
+        for name, step in [("grid_numerators", "spans"), ("_class_table", "table")]:
+            original = getattr(partition, name)
+            monkeypatch.setattr(
+                partition, name, lambda *args, f=original, s=step: built.append(s) or f(*args)
+            )
+        with pytest.raises(GuardExceeded) as info:
+            feasible_class_table(k, d)
+        assert (info.value.what, info.value.count) == (what, count)
+        assert built == ([] if what == "span grid" else ["spans"])
+        if what == "box-class table":
+            assert count == table_entries(k, d)
+
+    @pytest.mark.parametrize("k,d", [(2, 1), (2, 8), (2, 11), (3, 3), (5, 2)])
+    def test_guard_counts_the_built_table(self, k, d):
+        # the larger stage decides: the table at low d and fine k, the span grid at (2, 11)
+        table = feasible_class_table(k, d)
+        entries = len(table.anchors) * (2 * d + table.corners.shape[1])
+        assert entries == table_entries(k, d)
+        need = max(d * (2**k - 1) ** d, entries)
+        assert feasible_class_table(k, d, limit=need) is table
+        with pytest.raises(GuardExceeded) as info:
+            feasible_class_table(k, d, limit=need - 1)
+        assert info.value.count == need
+
     def test_cached_table_is_read_only(self):
-        anchors, spans = feasible_class_table(2, 2)
-        assert feasible_class_table(2, 2)[0] is anchors
+        table = feasible_class_table(2, 2)
+        anchors, spans = table.anchors, table.spans
+        assert feasible_class_table(2, 2) is table
         with pytest.raises(ValueError):
             anchors[0, 0] = 3
         with pytest.raises(ValueError):
             spans[0, 0] = 3
+        with pytest.raises(ValueError):
+            table.corners[0, 0] = 3
 
     @pytest.mark.parametrize("k,d", [(2, 1), (2, 2), (3, 2)])
     def test_volume_sandwich_on_members(self, k, d):
