@@ -146,18 +146,23 @@ def _first_misses(numerators: np.ndarray, k: int, corners: np.ndarray) -> np.nda
     into one occupancy table on the numerators 1 .. 2^k - 1 per axis plus a
     trailing zero cell, with the trial as last axis, so that reading one cell
     for every trial is one contiguous row, and its cumulative sums are taken
-    along every grid axis. Each core count is the signed sum of its row of
-    corner cells, BLOCK_CLASSES classes at a time; a trial leaves after the
-    block holding its first empty core.
+    along every grid axis. A point's cell reads its numerators minus one as
+    base-(2^k - 1) digits, formed by one multiply-add per axis rather than a
+    product with the digit weights, which numpy computes for integers without
+    BLAS at several times the cost. Each core count is the signed sum of its
+    row of corner cells, BLOCK_CLASSES classes at a time; a trial leaves
+    after the block holding its first empty core.
     """
     trials, _, d = numerators.shape
     g = 2**k - 1
     cells = g**d
-    strides = g ** np.arange(d - 1, -1, -1)
-    bins = numerators @ strides
-    bins -= strides.sum()
+    bins = numerators[..., 0].astype(np.int64)
+    for axis in range(1, d):
+        bins *= g
+        bins += numerators[..., axis]
     bins *= trials
-    bins += np.arange(trials)[:, None]
+    # digits are numerators 1 .. g: subtract the all-ones digit string, then add the trial
+    bins += (np.arange(trials) - sum(g**axis for axis in range(d)) * trials)[:, None]
     flat = np.bincount(bins.ravel(), minlength=(cells + 1) * trials).reshape(cells + 1, trials)
     cube = flat[:cells].reshape((g,) * d + (trials,))
     for axis in range(d):

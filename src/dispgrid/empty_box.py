@@ -12,20 +12,29 @@ over all boxes.
 
 Both searches share one numpy kernel, run after an enumeration guard that
 counts its work from the per-axis endpoint counts alone. The points are
-binned into an occupancy tensor over the candidate endpoints; its exclusive
-prefix sums C along an axis give the points strictly inside the endpoint
-index pair (i, j) on that axis as C[j] - C[i+1]. Endpoint pairs are
-enumerated on axes 0 .. d-2 only, taking that difference axis by axis, which
-leaves for every box prefix its slab's occupancy per last-axis endpoint. The
-last axis is swept instead of enumerated: in one dimension the widest empty
-interval ending at an endpoint starts at the last occupied endpoint below it
-(or at 0), so a running maximum over the occupied endpoints gives every
-prefix's best box, its height times its widest gap. That is
-prod_{a<d-1} C(c_a, 2) * c_{d-1} elements where enumerating every candidate
-box would take prod_a C(c_a, 2). Prefixes are evaluated in blocks of
-consecutive axis-0 pairs in lexicographic endpoint order, a block whose
-volume bound cannot beat the best so far is skipped, and the first maximiser
-is kept, so ties resolve to the lexicographically smallest witness.
+binned into an occupancy tensor over the candidate endpoints. A grid set
+with more points than 2^k bins through a lookup table from each numerator
+0 .. 2^k to its endpoint index, one gather per axis, since that table is no
+longer than a point column; real input, and a grid set with no more points
+than 2^k, bin by binary search (``np.searchsorted``), whose cost does not
+grow with the resolution. The tensor's exclusive prefix sums C along an axis
+give the points strictly inside the endpoint index pair (i, j) on that axis
+as C[j] - C[i+1]. Endpoint pairs are enumerated on axes 0 .. d-2 only,
+taking that difference axis by axis, which leaves for every box prefix its
+slab's occupancy per last-axis endpoint. The last axis is swept instead of
+enumerated: in one dimension the widest empty interval ending at an
+endpoint starts at the last occupied endpoint below it (or at 0), so a
+running maximum over the occupied endpoints gives every prefix's best box,
+its height times its widest gap. That is prod_{a<d-1} C(c_a, 2) * c_{d-1}
+elements where enumerating every candidate box would take prod_a C(c_a, 2).
+The running maximum is one whole-row ``np.maximum`` per endpoint when a
+block holds at least as many prefixes as endpoints, and
+``np.maximum.accumulate`` down the endpoints otherwise: the accumulate runs
+one short inner loop per prefix, the row form one numpy call per endpoint.
+Prefixes are evaluated in blocks of consecutive axis-0 pairs in
+lexicographic endpoint order, a block whose volume bound cannot beat the
+best so far is skipped, and the first maximiser is kept, so ties resolve to
+the lexicographically smallest witness.
 ``batch_has_empty_box_above`` counts every candidate box for a batch of grid
 point sets at once, each on its own candidate endpoints, with the set as a
 leading axis; ``exact_failure_probability`` tests with it each support (set
@@ -211,11 +220,19 @@ def _search(points: PointSet, best, limit: int | None):
     spans a slab, and the last axis is swept instead. The slab's occupancy per
     last-axis endpoint t is a difference of prefix sums taken with the last
     axis first, so that one t is one contiguous row over the prefixes. With
-    endpoint 0 counted as occupied, ``np.maximum.accumulate`` along t gives
-    the last occupied endpoint at or below each t, so the widest empty
-    interval ending at endpoint t + 1 starts there, and a prefix's best box
-    is its height times its widest such gap. The enumeration guard counts the
-    prefixes times the last-axis endpoints, before any point is binned.
+    endpoint 0 counted as occupied, a running maximum along t gives the last
+    occupied endpoint at or below each t, so the widest empty interval ending
+    at endpoint t + 1 starts there, and a prefix's best box is its height
+    times its widest such gap. ``np.maximum.accumulate`` along t runs one
+    short inner loop per prefix, so a block with at least as many prefixes
+    as last-axis endpoints takes the maximum with one whole-row
+    ``np.maximum`` per endpoint instead; a taller block keeps the
+    accumulate, where the per-row calls would cost more. The enumeration
+    guard counts the prefixes times the last-axis endpoints, before any
+    point is binned. A grid set with more than 2^k points bins through a
+    numerator-to-endpoint lookup table, no longer than a point column and
+    filled from the int64 numerators; other input bins by
+    ``np.searchsorted``, whose cost does not grow with 2^k.
 
     Blocks of consecutive axis-0 endpoint pairs are visited in lexicographic
     order; a block is skipped when its widest axis-0 pair times unit^(d-1)
@@ -236,7 +253,15 @@ def _search(points: PointSet, best, limit: int | None):
     count = math.prod(len(v) * (len(v) - 1) // 2 for v in head) * len(last)
     check_enumeration("box prefixes x last-axis endpoints", count, limit, DEFAULT_ENUMERATION_LIMIT)
 
-    cells = [np.searchsorted(v, col) for v, col in zip(values, cols)]
+    if isinstance(unit, int) and unit < len(points.points):
+        # endpoint index per numerator 0 .. unit, a table no longer than a point column
+        lut = np.empty(unit + 1, dtype=np.intp)
+        cells = []
+        for v, col in zip(values, points.points.T):
+            lut[v.astype(np.intp)] = np.arange(len(v))
+            cells.append(lut[col])
+    else:
+        cells = [np.searchsorted(v, col) for v, col in zip(values, cols)]
     shape = tuple(len(v) for v in values)
     occupancy = np.bincount(np.ravel_multi_index(cells, shape), minlength=math.prod(shape))
     prefix = _occupancy_prefix(np.moveaxis(occupancy.reshape(shape), -1, 0), 1)
@@ -255,7 +280,13 @@ def _search(points: PointSet, best, limit: int | None):
             continue
         counts = _inside_counts(prefix, block_pairs, 1).reshape(len(last), -1)
         # last occupied endpoint value at or below each endpoint; last[0] is 0
-        below = np.maximum.accumulate((counts > 0) * last[:, None], axis=0)
+        below = (counts > 0) * last[:, None]
+        # accumulate runs one inner loop per prefix; whole rows cost less once they are as long
+        if below.shape[1] >= len(below):
+            for t in range(1, len(below)):
+                np.maximum(below[t], below[t - 1], out=below[t])
+        else:
+            np.maximum.accumulate(below, axis=0, out=below)
         gaps = (last[1:, None] - below[:-1]).max(axis=0)
         heights = _box_volumes(block_widths).ravel() if widths else np.ones(1, last.dtype)
         volumes = heights * gaps

@@ -252,7 +252,14 @@ def _pair_scan(pts: PointSet, threshold=0):
 
 
 def _sweep_cases(seed: int, count: int):
-    """Random grid (k = 2-4 and 40) and real point sets in d = 1-4, sized for the pair scan."""
+    """Random grid (k = 2-4 and 40) and real point sets in d = 1-4, sized for the pair scan.
+
+    Grid sets with more points than 2^k bin through the lookup table, the
+    others (k=40 among them) by searchsorted. Most blocks in d >= 2 hold at
+    least as many box prefixes as last-axis endpoints and are swept row by
+    row; d = 1, the long last axes below, and d = 2 at one axis-0 pair per
+    block give taller blocks, swept by accumulate.
+    """
     rng = random.Random(seed)
     cases = [PointSet.from_numerators(2, 3, []), PointSet.from_reals(2, [])]
     for _ in range(count):
@@ -272,6 +279,11 @@ def _sweep_cases(seed: int, count: int):
     ys = [rng.random() for _ in range(40)]
     cases.append(PointSet.from_reals(2, [(0.5, y) for y in ys]))
     cases.append(PointSet.from_reals(3, [(0.25, 0.75, y) for y in ys + [0.0, 1.0]]))
+    # grid sets in d = 2-4 at n = 2^k (searchsorted) and n > 2^k (lookup table)
+    for k, d, n in ((2, 2, 4), (2, 2, 5), (3, 2, 20), (2, 3, 10), (3, 3, 12), (2, 4, 8),
+                    (3, 4, 10)):
+        cases.append(PointSet.from_numerators(
+            k, d, [tuple(rng.randrange(1, 2**k) for _ in range(d)) for _ in range(n)]))
     return cases
 
 
