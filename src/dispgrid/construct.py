@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import n_required
-from .grid import GRID_REPR, PointSet, grid_numerators, require_k
+from .grid import GRID_REPR, PointSet, require_k
 from .guards import DEFAULT_ENUMERATION_LIMIT, check_enumeration
 from .partition import BoxClass, ClassTable, feasible_class_table
 
@@ -129,12 +129,12 @@ def sample_grid_points(k, d: int, n: int, seed: int) -> PointSet:
 
 
 def full_grid(k, d: int, *, limit: int | None = None) -> PointSet:
-    """Every grid point exactly once: (2^k - 1)^d points."""
+    """All (2^k - 1)^d grid points in lexicographic order, guarded by their d numerators each."""
     kk = require_k(k)
     if d < 1:
         raise ValueError(f"need d >= 1, got d={d}")
-    check_enumeration("full grid", (2**kk - 1) ** d, limit, DEFAULT_ENUMERATION_LIMIT)
-    return PointSet.from_numerators(kk, d, grid_numerators(kk, d))
+    check_enumeration("full grid", d * (2**kk - 1) ** d, limit, DEFAULT_ENUMERATION_LIMIT)
+    return PointSet.from_numerators(kk, d, np.indices((2**kk - 1,) * d).reshape(d, -1).T + 1)
 
 
 def _first_misses(numerators: np.ndarray, k: int, corners: np.ndarray) -> np.ndarray:
@@ -230,6 +230,8 @@ def generate_certified(
     the most classes).
     """
     kk = require_k(k)
+    if d < 1 or n < 1:
+        raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
     if max_attempts < 1:
         raise ValueError(f"need max_attempts >= 1, got {max_attempts}")
     table = feasible_class_table(kk, d, limit=limit)
@@ -290,6 +292,8 @@ def monte_carlo_success(
     effect.
     """
     kk = require_k(k)
+    if d < 1 or n < 1:
+        raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     if threads > 1:

@@ -87,12 +87,6 @@ def grid_values(k, *, limit: int | None = None) -> list[Fraction]:
     return [Fraction(a, m) for a in range(1, m)]
 
 
-def grid_numerators(k: int, d: int) -> np.ndarray:
-    """Numerators of every grid point, (2^k - 1)^d rows in lexicographic order; unguarded."""
-    # row-major order of the index grid is the lexicographic order of the points
-    return np.indices((2**k - 1,) * d).reshape(d, -1).T + 1
-
-
 @dataclass(frozen=True, eq=False)
 class PointSet:
     """Finite multiset of points in [0,1]^d.

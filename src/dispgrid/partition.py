@@ -16,9 +16,9 @@ and the counting formulas entering the union-bound failure estimates.
 Within a class's anchor range, anchor <= 2^k - span, the room left of 1 is
 never the binding cap on a side (2^k - anchor + 1 >= span + 1), so
 feasibility depends on the span vector alone: every span is at least 1 and
-prod(span + 1) > 2^(k(d-1)). The feasible classes of one (k, d) are
-therefore built span by span, each feasible span contributing its whole
-anchor block, into one cached read-only table.
+prod(span + 1) > 2^(k(d-1)), read off one volume numerator per span vector.
+The feasible classes of one (k, d) are then built span by span, each feasible
+span contributing its whole anchor block, into one cached read-only table.
 """
 
 import functools
@@ -31,7 +31,7 @@ from typing import Iterator
 import numpy as np
 
 from .empty_box import Box
-from .grid import exact_fraction, grid_numerators, require_k
+from .grid import exact_fraction, require_k
 from .guards import check_enumeration
 
 
@@ -235,15 +235,17 @@ class ClassTable:
 def feasible_class_table(k, d: int, *, limit: int | None = None) -> ClassTable:
     """The cached table of every feasible class at resolution k in dimension d.
 
-    The guard counts what is built, on every call: the d * (2^k - 1)^d span
-    grid entries before the grid exists, then the classes times their 2d
-    anchor and span entries plus 2^L corner columns before the anchors are
-    expanded, a count cached with the feasible spans.
+    The guard counts what is built, on every call: the (2^k - 1)^d volume
+    numerators of the span vectors before any exists, a count that also bounds
+    the certificate kernel's largest array per trial, its (2^k - 1)^d cells
+    plus one zero cell; then, with the feasible spans built, the classes times
+    their 2d anchor and span entries plus 2^L corner columns before the
+    anchors are expanded, a count cached with the feasible spans.
     """
     kk = require_k(k)
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
-    check_enumeration("span grid", d * (2**kk - 1) ** d, limit)
+    check_enumeration("span grid", (2**kk - 1) ** d, limit)
     check_enumeration("box-class table", _feasible_spans(kk, d)[1], limit)
     return _class_table(kk, d)
 
@@ -252,9 +254,9 @@ def feasible_class_table(k, d: int, *, limit: int | None = None) -> ClassTable:
 def _feasible_spans(k: int, d: int) -> tuple[np.ndarray, int]:
     """The feasible span vectors in lexicographic order, and the entries of their class table."""
     m = 2**k
-    # whenever the span grid fits in memory, m^d and so every volume product fits in int64
-    spans = grid_numerators(k, d)
-    spans = spans[np.prod(spans + 1, axis=1) > m ** (d - 1)]
+    # prod(span + 1) per span vector, row-major and so lexicographic; fits in int64 if in memory
+    feasible = functools.reduce(np.multiply.outer, [np.arange(2, m + 1)] * d) > m ** (d - 1)
+    spans = np.stack(np.unravel_index(np.flatnonzero(feasible), feasible.shape), 1) + 1
     # a span below 2^k - 1 admits anchors above 1, each axis of which is a corner axis
     width = int((spans < m - 1).sum(axis=1).max())
     return spans, int(np.prod(m - spans, axis=1).sum()) * (2 * d + 2**width)

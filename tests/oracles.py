@@ -7,7 +7,8 @@ inclusion-exclusion surjection counts and a
 per-outcome empty-box search for exact failure probabilities, grid
 enumeration for hit probabilities, a per-class loop over rebuilt classes
 for the hit-probability audit, classification of a fine mesh of boxes
-and a per-class feasibility walk for the feasible class set, a per-class
+and a per-class feasibility walk for the feasible class set, a filter of
+the whole span grid for the feasible span vectors, a per-class
 core-box scan for the certificate, the former certificate kernel that reads
 all 2^d corners of every core off a 2^k-per-axis table for its first-miss
 positions, and one certificate per trial for Monte Carlo success counts.
@@ -354,6 +355,20 @@ def reference_feasible_classes(k: int, d: int):
             cls = BoxClass(k, anchor, span)
             if cls.is_feasible():
                 yield cls
+
+
+def reference_feasible_spans(k: int, d: int) -> tuple[np.ndarray, int]:
+    """The feasible span vectors, filtered from the whole grid of span vectors, and table entries.
+
+    The grid holds d (2^k - 1)^d int64 entries. The table entries are the
+    classes times their 2d anchor and span entries plus the 2^L corner
+    columns of the widest class.
+    """
+    m = 2**k
+    spans = np.indices((m - 1,) * d).reshape(d, -1).T + 1
+    spans = spans[np.prod(spans + 1, axis=1) > m ** (d - 1)]
+    width = int((spans < m - 1).sum(axis=1).max())
+    return spans, int(np.prod(m - spans, axis=1).sum()) * (2 * d + 2**width)
 
 
 def reference_certify(point_sets, k: int) -> list:

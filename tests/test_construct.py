@@ -21,6 +21,7 @@ from dispgrid import (
     largest_empty_box,
     ln_union_failure_bound,
     monte_carlo_success,
+    n_required,
     sample_grid_points,
     wilson_interval,
 )
@@ -73,6 +74,20 @@ class TestFullGrid:
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             full_grid(5, 5, limit=100)
+
+    def test_guard_counts_every_numerator_before_the_grid_exists(self, monkeypatch):
+        calls = []
+        indices = np.indices
+        monkeypatch.setattr(np, "indices", lambda *args: calls.append(args) or indices(*args))
+        with pytest.raises(GuardExceeded) as info:
+            full_grid(2, 15)
+        # 15 numerators for each of the 3^15 points
+        assert (info.value.what, info.value.count) == ("full grid", 215_233_605)
+        assert calls == []
+        assert full_grid(2, 2, limit=18).n == 9
+        with pytest.raises(GuardExceeded):
+            full_grid(2, 2, limit=17)
+        assert calls == [((3, 3),)]
 
 
 class TestCertificate:
@@ -382,13 +397,48 @@ class TestGenerateCertified:
         monkeypatch.setattr(construct, "_generator", spy_generator)
         monkeypatch.setattr(construct, "_draw", spy_draw)
         with pytest.raises(GuardExceeded) as info:
-            generate_certified(2, 15, 100, seed=0)
-        assert info.value.count == 15 * 3**15 and calls == []
+            generate_certified(2, 17, 100, seed=0)
+        assert info.value.count == 3**17 and calls == []
         with pytest.raises(GuardExceeded):
             generate_certified(2, 2, 100, seed=0, limit=10)
         assert calls == []
         generate_certified(2, 2, 100, seed=0)
         assert calls == [("generator", 0), ("draw", 2)]
+
+    def test_refuses_no_points_before_the_table_or_a_draw(self, monkeypatch):
+        calls = _spy_table_and_draw(monkeypatch)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=f"need d >= 1 and n >= 1, got d=2, n={n}"):
+                generate_certified(2, 2, n, seed=0)
+        assert calls == []
+        generate_certified(2, 2, 100, seed=0)
+        assert calls == ["table", "draw"]
+
+    def test_paper_regime_at_d14(self):
+        # the paper's high-d regime at a dimension the default guard admits
+        k, d = 2, 14
+        generated = generate_certified(k, d, n_required(k, d), seed=0)
+        assert generated.points.n == n_required(k, d)
+        cert = certify_dispersion(generated.points, k)
+        assert cert.passed and cert.classes_checked == len(feasible_class_table(k, d).anchors)
+
+
+def _spy_table_and_draw(monkeypatch) -> list:
+    """Record every class-table build and every draw that the construct module makes."""
+    calls = []
+    table, draw = construct.feasible_class_table, construct._draw
+
+    def spy_table(*args, **kwargs):
+        calls.append("table")
+        return table(*args, **kwargs)
+
+    def spy_draw(*args):
+        calls.append("draw")
+        return draw(*args)
+
+    monkeypatch.setattr(construct, "feasible_class_table", spy_table)
+    monkeypatch.setattr(construct, "_draw", spy_draw)
+    return calls
 
 
 class TestWilsonInterval:
@@ -480,6 +530,15 @@ class TestMonteCarlo:
         assert calls == []
         monte_carlo_success(2, 2, 10, trials=5, master_seed=1)
         assert calls == [0, 1, 2, 3, 4]
+
+    def test_refuses_no_points_before_the_table_or_a_draw(self, monkeypatch):
+        calls = _spy_table_and_draw(monkeypatch)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=f"need d >= 1 and n >= 1, got d=2, n={n}"):
+                monte_carlo_success(2, 2, n, trials=5, master_seed=1)
+        assert calls == []
+        monte_carlo_success(2, 2, 1, trials=2, master_seed=1)
+        assert calls == ["table", "draw", "draw"]
 
     def test_interval_inside_unit(self):
         mc = monte_carlo_success(2, 1, 3, trials=50, master_seed=1)

@@ -1,8 +1,10 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dispgrid import (
@@ -23,7 +25,12 @@ from dispgrid import partition
 from dispgrid.guards import GuardExceeded
 from dispgrid.partition import feasible_class_table
 
-from oracles import box_in_class, classes_from_fine_mesh, reference_feasible_classes
+from oracles import (
+    box_in_class,
+    classes_from_fine_mesh,
+    reference_feasible_classes,
+    reference_feasible_spans,
+)
 
 
 def table_entries(k, d):
@@ -261,17 +268,17 @@ class TestEnumeration:
     @pytest.mark.parametrize(
         "k,d,what,count",
         [
-            (2, 15, "span grid", 215_233_605),
+            (2, 17, "span grid", 129_140_163),
             (7, 2, "box-class table", 486_996_072),
             # the former proxy m^d (m-1)^d admitted this table of 1.3e8 entries
             (13, 1, "box-class table", 134_201_344),
         ],
     )
     def test_default_guard_refuses_with_exact_counts(self, monkeypatch, k, d, what, count):
-        # the span grid is counted before it is built, the table before its anchors are expanded
+        # each stage counts before it builds: the span volumes, then the expanded anchors
         partition._feasible_spans.cache_clear()
         built = []
-        for name, step in [("grid_numerators", "spans"), ("_class_table", "table")]:
+        for name, step in [("_feasible_spans", "spans"), ("_class_table", "table")]:
             original = getattr(partition, name)
             monkeypatch.setattr(
                 partition, name, lambda *args, f=original, s=step: built.append(s) or f(*args)
@@ -283,17 +290,42 @@ class TestEnumeration:
         if what == "box-class table":
             assert count == table_entries(k, d)
 
-    @pytest.mark.parametrize("k,d", [(2, 1), (2, 8), (2, 11), (3, 3), (5, 2)])
+    @pytest.mark.parametrize("k,d", [(2, 1), (2, 8), (2, 13), (3, 3), (5, 2)])
     def test_guard_counts_the_built_table(self, k, d):
-        # the larger stage decides: the table at low d and fine k, the span grid at (2, 11)
+        # the larger stage decides: the table at low d and fine k, the span volumes at (2, 13)
         table = feasible_class_table(k, d)
         entries = len(table.anchors) * (2 * d + table.corners.shape[1])
         assert entries == table_entries(k, d)
-        need = max(d * (2**k - 1) ** d, entries)
+        need = max((2**k - 1) ** d, entries)
         assert feasible_class_table(k, d, limit=need) is table
         with pytest.raises(GuardExceeded) as info:
             feasible_class_table(k, d, limit=need - 1)
         assert info.value.count == need
+
+    @pytest.mark.parametrize(
+        "k,d",
+        [(2, d) for d in range(1, 12)]
+        + [(3, d) for d in range(1, 6)]
+        + [(4, 1), (4, 2), (4, 3), (5, 2), (7, 2), (12, 1)],
+    )
+    def test_feasible_spans_match_the_span_grid_filter(self, k, d):
+        spans, entries = partition._feasible_spans(k, d)
+        want, want_entries = reference_feasible_spans(k, d)
+        assert spans.dtype == want.dtype
+        assert np.array_equal(spans, want)
+        assert entries == want_entries
+
+    def test_table_build_holds_no_span_grid(self):
+        # the (3^11, 11) span grid alone is 15.6 MB of int64
+        partition._feasible_spans.cache_clear()
+        partition._class_table.cache_clear()
+        tracemalloc.start()
+        try:
+            feasible_class_table(2, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_cached_table_is_read_only(self):
         table = feasible_class_table(2, 2)

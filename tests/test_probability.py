@@ -20,7 +20,7 @@ from dispgrid import (
     min_hit_probability_bound,
 )
 from dispgrid import probability
-from dispgrid.guards import GuardExceeded
+from dispgrid.guards import DEFAULT_ENUMERATION_LIMIT, DEFAULT_OUTCOME_LIMIT, GuardExceeded
 
 from oracles import (
     brute_force_hit_probability,
@@ -204,6 +204,15 @@ class TestExactFailureProbability:
     def test_guard(self):
         with pytest.raises(GuardExceeded, match="79792266297612001 items"):
             exact_failure_probability(3, 2, 10)
+
+    def test_outcome_guard_keeps_the_full_grid_admitted(self):
+        # n = 1 has the fewest outcomes, g^d, against the d g^d numerators of the full grid
+        for k in range(2, 24):
+            g = 2**k - 1
+            d = 1
+            while g**d <= DEFAULT_OUTCOME_LIMIT:
+                assert d * g**d <= DEFAULT_ENUMERATION_LIMIT
+                d += 1
 
     def test_benchmark_instance_value(self):
         assert exact_failure_probability(2, 2, 7) == Fraction(1406723, 1594323)
