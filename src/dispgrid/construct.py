@@ -20,9 +20,11 @@ another grid rounded onto this one, a fail implies nothing about the true
 dispersion. One kernel counts the points in every core box by
 inclusion-exclusion over the corners of a prefix-sum occupancy table on the
 grid numerators 1 .. 2^k - 1, for one point set or for a chunk of Monte
-Carlo trials at once, reading each class's corners off the corner matrix of
-its feasible-class table; the first class in table order whose count is zero
-is the witness.
+Carlo trials at once, reading each class's corners off a corner matrix of
+its feasible-class table. Pass or fail reads only the inclusion-minimal
+cores, which every other core contains; only a set that fails is counted
+again over the full table, whose first class in table order with a zero
+count is the witness.
 """
 
 import math
@@ -138,20 +140,23 @@ def full_grid(k, d: int, *, limit: int | None = None) -> PointSet:
 
 
 def _first_misses(numerators: np.ndarray, k: int, corners: np.ndarray) -> np.ndarray:
-    """Table position of each trial's first feasible class with an empty core.
+    """Row of each trial's first class with an empty core, in a class table's corner matrix.
 
     ``numerators`` is a (trials, n, d) array of grid numerators and
-    ``corners`` the class table's corner matrix (see ClassTable.corners); a
-    trial that hits every core gets ``len(corners)``. The points are counted
-    into one occupancy table on the numerators 1 .. 2^k - 1 per axis plus a
-    trailing zero cell, with the trial as last axis, so that reading one cell
-    for every trial is one contiguous row, and its cumulative sums are taken
+    ``corners`` a corner matrix (see ClassTable.corners); a trial that hits
+    every core gets ``len(corners)``. The points are counted into one
+    occupancy table on the numerators 1 .. 2^k - 1 per axis plus a trailing
+    zero cell, with the trial as last axis, so that reading one cell for
+    every trial is one contiguous row, and its cumulative sums are taken
     along every grid axis. A point's cell reads its numerators minus one as
     base-(2^k - 1) digits, formed by one multiply-add per axis rather than a
     product with the digit weights, which numpy computes for integers without
-    BLAS at several times the cost. Each core count is the signed sum of its
-    row of corner cells, BLOCK_CLASSES classes at a time; a trial leaves
-    after the block holding its first empty core.
+    BLAS at several times the cost. Read as digits, the numerators themselves
+    overshoot each cell by the all-ones digit string, so that many leading
+    counts are cut off the bincount rather than subtracted from every point.
+    Each core count is the signed sum of its row of corner cells,
+    BLOCK_CLASSES classes at a time; a trial leaves after the block holding
+    its first empty core.
     """
     trials, _, d = numerators.shape
     g = 2**k - 1
@@ -160,13 +165,13 @@ def _first_misses(numerators: np.ndarray, k: int, corners: np.ndarray) -> np.nda
     for axis in range(1, d):
         bins *= g
         bins += numerators[..., axis]
-    bins *= trials
-    # digits are numerators 1 .. g: subtract the all-ones digit string, then add the trial
-    bins += (np.arange(trials) - sum(g**axis for axis in range(d)) * trials)[:, None]
-    flat = np.bincount(bins.ravel(), minlength=(cells + 1) * trials).reshape(cells + 1, trials)
-    cube = flat[:cells].reshape((g,) * d + (trials,))
-    for axis in range(d):
-        np.cumsum(cube, axis=axis, out=cube)
+    if trials > 1:
+        bins *= trials
+        bins += np.arange(trials)[:, None]
+    below = sum(g**axis for axis in range(d)) * trials
+    flat = np.bincount(bins.ravel(), minlength=below + (cells + 1) * trials)[below:]
+    flat = flat.reshape(cells + 1, trials)
+    _prefix_sums(flat[:cells], g, d)
     first = np.full(trials, len(corners))
     live = np.arange(trials)
     for start in range(0, len(corners), BLOCK_CLASSES):
@@ -188,19 +193,53 @@ def _first_misses(numerators: np.ndarray, k: int, corners: np.ndarray) -> np.nda
     return first
 
 
+def _prefix_sums(table: np.ndarray, g: int, d: int) -> None:
+    """Cumulative sums, in place, along every axis of a row-major (g^d, trials) table.
+
+    np.cumsum along one axis runs one g-long loop per cell of the other axes,
+    so where each of an axis's g slices is long, adding whole slices, g - 1
+    adds per axis, is faster.
+    """
+    trials = table.shape[1]
+    if len(table) // g * trials >= 64 * g:
+        for axis in range(d):
+            view = table.reshape(g**axis, g, -1)
+            for i in range(1, g):
+                view[:, i] += view[:, i - 1]
+    else:
+        cube = table.reshape((g,) * d + (trials,))
+        for axis in range(d):
+            np.cumsum(cube, axis=axis, out=cube)
+
+
+def _first_miss(numerators: np.ndarray, k: int, table: ClassTable) -> int:
+    """Table row of the first core an (n, d) numerator set misses, or len(table.anchors) if none.
+
+    The minimal cores decide whether the set misses any core; only a miss
+    reads the full table for its first row.
+    """
+    minimal = table.minimal_corners
+    if _first_misses(numerators[None], k, minimal)[0] == len(minimal):
+        return len(table.anchors)
+    return int(_first_misses(numerators[None], k, table.corners)[0])
+
+
 def certify_dispersion(points: PointSet, k, *, limit: int | None = None) -> CertificateResult:
     """Decide whether a grid set at resolution k has dispersion at most 2^-k.
 
-    Requires a point inside the core box of every feasible class, counted
-    for all classes by the certificate kernel. A pass implies dispersion
-    <= 2^-k, in fact exactly 2^-k: the box (0, 2^-k) x (0, 1)^(d-1) holds no
-    grid point. A fail carries as witness the first class, in the order of
-    enumerate_feasible_classes, whose core is empty, with ``classes_checked``
-    its 1-based position, the same values a scan that stops at the first
-    miss reports. A fail implies dispersion above 2^-k: the open box one
-    grid step wider than the empty core on every side holds no point of the
-    set, and its volume prod(span + 1) / 2^(kd) exceeds 2^-k because the
-    class is feasible.
+    Requires a point inside the core box of every feasible class. The
+    certificate kernel counts the points in the inclusion-minimal cores,
+    those of the classes whose spans cannot be lowered by one on any axis
+    and stay feasible: every other core contains one of them, so they
+    decide pass or fail. Only a fail counts every class, for the witness.
+    A pass implies dispersion <= 2^-k, in fact exactly 2^-k: the box
+    (0, 2^-k) x (0, 1)^(d-1) holds no grid point. A fail carries as witness
+    the first class, in the order of enumerate_feasible_classes, whose core
+    is empty, with ``classes_checked`` its 1-based position, the same values
+    a scan that stops at the first miss reports. A fail implies dispersion
+    above 2^-k: the open box one grid step wider than the empty core on
+    every side holds no point of the set, and its volume prod(span + 1) /
+    2^(kd) exceeds 2^-k because the class is feasible.
     """
     kk = require_k(k)
     if points.repr != GRID_REPR:
@@ -208,7 +247,7 @@ def certify_dispersion(points: PointSet, k, *, limit: int | None = None) -> Cert
     if points.k != kk:
         raise ValueError(f"point set has resolution k={points.k}, certificate asked for k={kk}")
     table = feasible_class_table(kk, points.dim, limit=limit)
-    return _certificate(table, int(_first_misses(points.points[None], kk, table.corners)[0]))
+    return _certificate(table, _first_miss(points.points, kk, table))
 
 
 def _certificate(table: ClassTable, i: int) -> CertificateResult:
@@ -238,7 +277,7 @@ def generate_certified(
     reached = 0
     for attempt in range(max_attempts):
         numerators = _draw(_generator(seed, attempt), kk, d, n)
-        i = int(_first_misses(numerators[None], kk, table.corners)[0])
+        i = _first_miss(numerators, kk, table)
         if i == len(table.anchors):
             return GeneratedSet(PointSet.from_numerators(kk, d, numerators), attempt + 1)
         reached = max(reached, i)
@@ -302,7 +341,8 @@ def monte_carlo_success(
             DeprecationWarning,
             stacklevel=2,
         )
-    corners = feasible_class_table(kk, d, limit=limit).corners
+    # a trial succeeds when it hits every core, which the minimal cores decide
+    corners = feasible_class_table(kk, d, limit=limit).minimal_corners
     classes = len(corners)
     chunk = _trials_per_chunk(kk, d, n, classes)
     successes = 0

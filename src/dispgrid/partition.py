@@ -19,6 +19,10 @@ feasibility depends on the span vector alone: every span is at least 1 and
 prod(span + 1) > 2^(k(d-1)), read off one volume numerator per span vector.
 The feasible classes of one (k, d) are then built span by span, each feasible
 span contributing its whole anchor block, into one cached read-only table.
+Lowering one span by one at the same anchor shrinks the core, so every core
+contains the core of a class with minimal spans, none of which can be lowered
+by one and stay feasible; the table reads those cores on their own too, as
+they decide whether a point set hits every core.
 """
 
 import functools
@@ -188,7 +192,10 @@ class ClassTable:
     """Every feasible class of one (k, d), as read-only (count, d) anchor and span arrays.
 
     Rows run over the feasible spans in lexicographic order, each span's
-    anchors in lexicographic order.
+    anchors in lexicographic order. ``corners`` reads the core count of every
+    class, so that a set's first empty core in this order is its witness;
+    ``minimal_corners`` reads only the inclusion-minimal cores, enough to
+    decide whether a set hits every core.
     """
 
     k: int
@@ -210,26 +217,52 @@ class ClassTable:
         and counts zero, so it has no column. Columns past a class's own 2^l
         corners read the zero cell.
         """
-        anchors, spans = self.anchors, self.spans
-        d = anchors.shape[1]
-        g = 2**self.k - 1
-        strides = g ** np.arange(d - 1, -1, -1)
-        low = anchors > 1
-        depth = low.sum(axis=1)
-        width = int(depth.max(initial=0))
-        # a class's steps on its anchor>1 axes in axis order; the steps past its
-        # own depth belong to other axes and only feed columns that read zero
-        order = np.argsort(~low, axis=1, kind="stable")[:, :width]
-        steps = np.take_along_axis(spans * strides, order, axis=1)
-        top = (anchors + spans - 2) @ strides
-        # built one column at a time, to hold no (classes, 2^L) temporaries, and
-        # returned column-major, so that each column the kernel reads is contiguous
-        corners = np.empty((2**width, len(top)), dtype=top.dtype)
-        for column, cells in enumerate(corners):
-            np.subtract(top, steps @ (column >> np.arange(width) & 1), out=cells)
-            cells[depth < column.bit_length()] = g**d
-        corners.flags.writeable = False
-        return corners.T
+        return _corner_matrix(self.k, self.anchors, self.spans)
+
+    @functools.cached_property
+    def minimal_corners(self) -> np.ndarray:
+        """The rows of ``corners`` of the classes whose spans are minimal, built on first use.
+
+        A set hits every core exactly when it hits these cores: shortening one
+        span of a class by one at the same anchor shrinks its core, so every
+        core contains the core of a class with minimal spans. Lowering spans
+        leaves the anchors, so these rows are as wide as ``corners``.
+        """
+        keep = _minimal_spans(self.k, self.spans)
+        return _corner_matrix(self.k, self.anchors[keep], self.spans[keep])
+
+
+def _corner_matrix(k: int, anchors: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """The corner matrix of the classes in rows of anchors and spans (see ClassTable.corners)."""
+    d = anchors.shape[1]
+    g = 2**k - 1
+    strides = g ** np.arange(d - 1, -1, -1)
+    low = anchors > 1
+    depth = low.sum(axis=1)
+    width = int(depth.max(initial=0))
+    # a class's steps on its anchor>1 axes in axis order; the steps past its
+    # own depth belong to other axes and only feed columns that read zero
+    order = np.argsort(~low, axis=1, kind="stable")[:, :width]
+    steps = np.take_along_axis(spans * strides, order, axis=1)
+    top = (anchors + spans - 2) @ strides
+    # built one column at a time, to hold no (classes, 2^L) temporaries, and
+    # returned column-major, so that each column the kernel reads is contiguous
+    corners = np.empty((2**width, len(top)), dtype=top.dtype)
+    for column, cells in enumerate(corners):
+        np.subtract(top, steps @ (column >> np.arange(width) & 1), out=cells)
+        cells[depth < column.bit_length()] = g**d
+    corners.flags.writeable = False
+    return corners.T
+
+
+def _minimal_spans(k: int, spans: np.ndarray) -> np.ndarray:
+    """Which rows of a feasible span array turn infeasible with any one span lowered by one."""
+    volume = np.prod(spans + 1, axis=1)
+    minimal = np.ones(len(spans), dtype=bool)
+    # one axis at a time, to hold no temporaries the size of the span array
+    for span in spans.T:
+        minimal &= (span == 1) | (volume // (span + 1) * span <= 2 ** (k * (spans.shape[1] - 1)))
+    return minimal
 
 
 def feasible_class_table(k, d: int, *, limit: int | None = None) -> ClassTable:
@@ -239,7 +272,8 @@ def feasible_class_table(k, d: int, *, limit: int | None = None) -> ClassTable:
     numerators of the span vectors before any exists, a count that also bounds
     the certificate kernel's largest array per trial, its (2^k - 1)^d cells
     plus one zero cell; then, with the feasible spans built, the classes times
-    their 2d anchor and span entries plus 2^L corner columns before the
+    their 2d anchor and span entries plus 2^L corner columns, and the classes
+    of minimal spans times 2^L more for the minimal corner matrix, before the
     anchors are expanded, a count cached with the feasible spans.
     """
     kk = require_k(k)
@@ -258,8 +292,10 @@ def _feasible_spans(k: int, d: int) -> tuple[np.ndarray, int]:
     feasible = functools.reduce(np.multiply.outer, [np.arange(2, m + 1)] * d) > m ** (d - 1)
     spans = np.stack(np.unravel_index(np.flatnonzero(feasible), feasible.shape), 1) + 1
     # a span below 2^k - 1 admits anchors above 1, each axis of which is a corner axis
-    width = int((spans < m - 1).sum(axis=1).max())
-    return spans, int(np.prod(m - spans, axis=1).sum()) * (2 * d + 2**width)
+    columns = 2 ** int((spans < m - 1).sum(axis=1).max())
+    classes = np.prod(m - spans, axis=1)
+    minimal = classes[_minimal_spans(k, spans)]
+    return spans, int(classes.sum()) * (2 * d + columns) + int(minimal.sum()) * columns
 
 
 @functools.lru_cache(maxsize=8)

@@ -8,8 +8,9 @@ per-outcome empty-box search for exact failure probabilities, grid
 enumeration for hit probabilities, a per-class loop over rebuilt classes
 for the hit-probability audit, classification of a fine mesh of boxes
 and a per-class feasibility walk for the feasible class set, a filter of
-the whole span grid for the feasible span vectors, a per-class
-core-box scan for the certificate, the former certificate kernel that reads
+the whole span grid for the feasible and the minimal span vectors, a
+table of the cores inside every core for the inclusion-minimal cores, a
+per-class core-box scan for the certificate, the former certificate kernel that reads
 all 2^d corners of every core off a 2^k-per-axis table for its first-miss
 positions, and one certificate per trial for Monte Carlo success counts.
 """
@@ -362,13 +363,41 @@ def reference_feasible_spans(k: int, d: int) -> tuple[np.ndarray, int]:
 
     The grid holds d (2^k - 1)^d int64 entries. The table entries are the
     classes times their 2d anchor and span entries plus the 2^L corner
-    columns of the widest class.
+    columns of the widest class, and 2^L more for each class whose span
+    vector is minimal: no feasible span vector lies one below it on one axis.
     """
     m = 2**k
     spans = np.indices((m - 1,) * d).reshape(d, -1).T + 1
-    spans = spans[np.prod(spans + 1, axis=1) > m ** (d - 1)]
-    width = int((spans < m - 1).sum(axis=1).max())
-    return spans, int(np.prod(m - spans, axis=1).sum()) * (2 * d + 2**width)
+    feasible = np.prod(spans + 1, axis=1) > m ** (d - 1)
+    grid = feasible.reshape((m - 1,) * d)
+    # pad one infeasible slice below span 1, then look one step down every axis
+    below = np.pad(grid, [(1, 0)] * d)
+    minimal = feasible.copy()
+    for axis in range(d):
+        step = np.zeros(d, dtype=int)
+        step[axis] = 1
+        minimal &= ~below[tuple((spans - step).T)]
+    classes = np.prod(m - spans, axis=1)
+    columns = 2 ** int((spans[feasible] < m - 1).sum(axis=1).max())
+    entries = int(classes[feasible].sum()) * (2 * d + columns)
+    return spans[feasible], entries + int(classes[minimal].sum()) * columns
+
+
+def cores_inside(k: int, lo, hi, inner_lo, inner_hi) -> np.ndarray:
+    """How many of the inner cores lie inside each core, for cores given by inclusive bounds.
+
+    Counts the inner cores into one table over all (lo, hi) bound pairs,
+    (2^k - 1)^(2d) cells, and sums it over lo' >= lo and hi' <= hi per axis.
+    """
+    g = 2**k - 1
+    d = lo.shape[1]
+    table = np.zeros((g,) * (2 * d), dtype=np.int64)
+    np.add.at(table, tuple((inner_lo - 1).T) + tuple((inner_hi - 1).T), 1)
+    for axis in range(d):
+        table = np.flip(np.flip(table, axis).cumsum(axis), axis)
+    for axis in range(d, 2 * d):
+        table = table.cumsum(axis)
+    return table[tuple((lo - 1).T) + tuple((hi - 1).T)]
 
 
 def reference_certify(point_sets, k: int) -> list:

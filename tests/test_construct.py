@@ -213,6 +213,26 @@ class TestCertificate:
         with pytest.raises(GuardExceeded):
             certify_dispersion(pts, 2)
 
+    def test_witness_from_the_full_table(self):
+        # the minimal cores decide, and a fail reports the full table's first miss
+        rng = np.random.default_rng(5)
+        outcomes = Counter()
+        cases = [(2, 4, 40), (2, 7, 80), (3, 2, 120), (3, 3, 600), (4, 2, 500), (5, 2, 4000)]
+        for k, d, n_max in cases:
+            table = feasible_class_table(k, d)
+            for _ in range(12):
+                n, seed = int(rng.integers(1, n_max)), int(rng.integers(2**32))
+                pts = sample_grid_points(k, d, n, seed)
+                i = int(construct._first_misses(pts.points[None], k, table.corners)[0])
+                assert certify_dispersion(pts, k) == construct._certificate(table, i)
+                outcomes[i == len(table.anchors)] += 1
+        assert outcomes[True] > 0 and outcomes[False] > 0
+
+    def test_pinned_witness_at_d12(self):
+        cert = certify_dispersion(sample_grid_points(2, 12, 30, 3), 2)
+        assert not cert.passed and cert.classes_checked == 558
+        assert cert.witness.anchor == (3, 1, 1, 1, 1, 1, 2, 1, 1, 1, 2, 1)
+
     def test_soundness_on_random_instances(self):
         # pass implies the exact oracle confirms dispersion <= 2^-k
         rng = random.Random(2024)
@@ -271,10 +291,14 @@ class TestCertificateKernel:
                 rng.integers(1, 2**k, size=(rng.integers(1, 9), rng.integers(0, 3 * cells), d))
                 for _ in range(3)
             ] + [_thinned_grid_chunk(rng, k, d, 8)]
+            minimal = table.minimal_corners
             for numerators in chunks:
                 first = construct._first_misses(numerators, k, table.corners)
                 want = gray_code_first_misses(numerators, k, anchors, spans)
                 assert first.tolist() == want.tolist()
+                # the minimal cores decide pass or fail alone
+                decided = construct._first_misses(numerators, k, minimal) == len(minimal)
+                assert decided.tolist() == (want == len(anchors)).tolist()
                 misses = first[first < len(anchors)]
                 spread = max(spread, len(np.unique(misses // block)))
                 outcomes.update((first == len(anchors)).tolist())
@@ -309,6 +333,24 @@ class TestCertificateKernel:
                 assert Fraction(1, 4) < box.volume() <= volume
             outcomes.add(cert.passed)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize(
+        "g,d,trials,slices",
+        [(3, 7, 1, True), (31, 2, 1, False), (31, 2, 64, True), (31, 2, 63, False),
+         (7, 2, 64, True), (7, 2, 63, False), (3, 3, 7, False), (3, 3, 22, True), (1, 3, 64, True)],
+    )
+    def test_prefix_sums_by_slices_or_cumsum(self, monkeypatch, g, d, trials, slices):
+        # whole-slice adds where each slice holds 64 g elements, np.cumsum below that
+        table = np.random.default_rng(g * d + trials).integers(0, 5, size=(g**d, trials))
+        want = table.reshape((g,) * d + (trials,))
+        for axis in range(d):
+            want = want.cumsum(axis=axis)
+        cumsum = np.cumsum
+        calls = []
+        monkeypatch.setattr(np, "cumsum", lambda *a, **kw: calls.append(1) or cumsum(*a, **kw))
+        construct._prefix_sums(table, g, d)
+        assert np.array_equal(table, want.reshape(g**d, trials))
+        assert (not calls) == slices
 
     def test_corner_matrix_reads_only_cells_that_can_be_nonzero(self):
         # at (2, 7) no class has more than 4 anchors above 1, so 16 columns
@@ -381,6 +423,20 @@ class TestGenerateCertified:
                 )
             outcomes.add(bool(passed))
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("k,d,n", [(3, 2, 30), (4, 2, 100), (2, 9, 30)])
+    def test_best_from_the_full_table(self, k, d, n):
+        # the furthest any failed attempt got, each read off the full table
+        table = feasible_class_table(k, d)
+        reached = max(
+            int(construct._first_misses(
+                construct._draw(construct._generator(11, i), k, d, n)[None], k, table.corners
+            )[0])
+            for i in range(6)
+        )
+        with pytest.raises(CertificationError) as info:
+            generate_certified(k, d, n, seed=11, max_attempts=6)
+        assert info.value.best == construct._certificate(table, reached)
 
     def test_guard_refuses_before_any_draw(self, monkeypatch):
         calls = []

@@ -28,13 +28,14 @@ from dispgrid.partition import feasible_class_table
 from oracles import (
     box_in_class,
     classes_from_fine_mesh,
+    cores_inside,
     reference_feasible_classes,
     reference_feasible_spans,
 )
 
 
 def table_entries(k, d):
-    """Anchor, span and corner-matrix entries of the feasible-class table, span by span."""
+    """Anchor, span and both corner matrices' entries of the feasible-class table, span by span."""
     m = 2**k
     spans = [
         span for span in itertools.product(range(1, m), repeat=d)
@@ -42,8 +43,14 @@ def table_entries(k, d):
     ]
     classes = sum(math.prod(m - s for s in span) for span in spans)
     # a span below 2^k - 1 admits an anchor above 1, whose corner below the core is a column
-    width = max(sum(s < m - 1 for s in span) for span in spans)
-    return classes * (2 * d + 2**width)
+    columns = 2 ** max(sum(s < m - 1 for s in span) for span in spans)
+    feasible = set(spans)
+    minimal = sum(
+        math.prod(m - s for s in span)
+        for span in spans
+        if not any(span[:i] + (span[i] - 1,) + span[i + 1 :] in feasible for i in range(d))
+    )
+    return classes * (2 * d + columns) + minimal * columns
 
 
 def random_large_box(rng, k, d):
@@ -269,9 +276,9 @@ class TestEnumeration:
         "k,d,what,count",
         [
             (2, 17, "span grid", 129_140_163),
-            (7, 2, "box-class table", 486_996_072),
+            (7, 2, "box-class table", 487_997_344),
             # the former proxy m^d (m-1)^d admitted this table of 1.3e8 entries
-            (13, 1, "box-class table", 134_201_344),
+            (13, 1, "box-class table", 134_217_726),
         ],
     )
     def test_default_guard_refuses_with_exact_counts(self, monkeypatch, k, d, what, count):
@@ -294,7 +301,8 @@ class TestEnumeration:
     def test_guard_counts_the_built_table(self, k, d):
         # the larger stage decides: the table at low d and fine k, the span volumes at (2, 13)
         table = feasible_class_table(k, d)
-        entries = len(table.anchors) * (2 * d + table.corners.shape[1])
+        built = (table.anchors, table.spans, table.corners, table.minimal_corners)
+        entries = sum(array.size for array in built)
         assert entries == table_entries(k, d)
         need = max((2**k - 1) ** d, entries)
         assert feasible_class_table(k, d, limit=need) is table
@@ -348,6 +356,39 @@ class TestEnumeration:
                 box = random_member_box(rng, cls)
                 vol = box.volume()
                 assert Fraction(1, m) < vol <= upper
+
+
+class TestMinimalCores:
+    @pytest.mark.parametrize(
+        "k,d", [(2, d) for d in range(1, 6)] + [(3, d) for d in range(1, 4)] + [(4, 2), (5, 2)]
+    )
+    def test_minimal_corners_read_the_inclusion_minimal_cores(self, k, d):
+        # the classes whose span cannot drop by one on any axis and stay feasible
+        table = feasible_class_table(k, d)
+        feasible = set(map(tuple, table.spans.tolist()))
+        minimal = {
+            span: not any(span[:i] + (span[i] - 1,) + span[i + 1 :] in feasible for i in range(d))
+            for span in feasible
+        }
+        keep = np.array([minimal[span] for span in map(tuple, table.spans.tolist())])
+        lo, hi = table.anchors, table.anchors + table.spans - 1
+        # they hold no other feasible core, every feasible core holds one of them,
+        # and no one of them holds another
+        assert np.array_equal(cores_inside(k, lo, hi, lo, hi) == 1, keep)
+        inside = cores_inside(k, lo, hi, lo[keep], hi[keep])
+        assert (inside >= 1).all() and (inside[keep] == 1).all()
+        assert np.array_equal(table.minimal_corners, table.corners[keep])
+        assert table.minimal_corners.flags.f_contiguous
+        with pytest.raises(ValueError):
+            table.minimal_corners[0, 0] = 0
+
+    @pytest.mark.parametrize(
+        "k,d,classes,minimal",
+        [(3, 2, 581, 92), (2, 7, 2472, 1820), (5, 2, 203_552, 5889), (4, 3, 655_930, 63_051)],
+    )
+    def test_minimal_counts(self, k, d, classes, minimal):
+        table = feasible_class_table(k, d)
+        assert (len(table.anchors), len(table.minimal_corners)) == (classes, minimal)
 
 
 class TestCounts:
