@@ -10,6 +10,10 @@ every derived stream is obtained as
 so per-trial and per-attempt results depend only on (master_seed, index) and
 are identical regardless of execution order or of how trials are grouped
 into chunks. The scheme is recorded in output metadata as the ``rng`` tag.
+Monte Carlo derives the same SeedSequence state words for a whole block of
+trials in one vectorised pass of the seed-sequence hash, and PCG64 seeds
+itself from them as from the child SeedSequence, so its streams, and the
+``rng`` tag, are those of the scheme above.
 
 The certificate checks that the point set intersects the core box of every
 feasible box class; a pass implies every box of volume above 2^-k contains a
@@ -27,11 +31,13 @@ again over the full table, whose first class in table order with a zero
 count is the witness.
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .bounds import n_required
 from .grid import GRID_REPR, PointSet, require_k
@@ -117,6 +123,69 @@ def _generator(seed: int, index: int | None = None) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
+# Constants of O'Neill's seed-sequence hash as numpy's SeedSequence uses them:
+# hashmix while the pool is mixed, the pool mix itself, and the state hash-out.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+
+
+def _spawn_states(master_seed: int, indices) -> np.ndarray:
+    """SeedSequence(master_seed, spawn_key=(i,)).generate_state(4, np.uint64) for each index, as rows.
+
+    Every child shares the parent's pool, the mixing of the seed's own words
+    (padded with zeros to the pool's 4). A child mixes its one spawn-key word,
+    for an index below 2^32, into each pool word after the parent's hashmixes:
+    4 for the pool, 12 to mix it, 4 per seed word past the pool. Then it hashes
+    out 8 uint32 state words, read in pairs as little-endian uint64. Every
+    step is a uint32 operation, wrapping as the hash does, over all indices.
+    """
+    pool = np.random.SeedSequence(master_seed).pool.tolist()
+    words = max(1, -(-int(master_seed).bit_length() // 32))
+    const = _INIT_A * pow(_MULT_A, 4 + 12 + 4 * max(words - 4, 0), 2**32) % 2**32
+    key = np.asarray(indices, dtype=np.uint32)
+    mixed = []
+    for pool_word in pool:
+        hashed = key ^ np.uint32(const)
+        const = const * _MULT_A % 2**32
+        hashed *= np.uint32(const)
+        hashed ^= hashed >> 16
+        mix = np.uint32(_MIX_MULT_L * pool_word % 2**32) - np.uint32(_MIX_MULT_R) * hashed
+        mix ^= mix >> 16
+        mixed.append(mix)
+    state = np.empty((len(key), 8), dtype=np.uint32)
+    const = _INIT_B
+    for column in range(8):
+        word = mixed[column % 4] ^ np.uint32(const)
+        const = const * _MULT_B % 2**32
+        word *= np.uint32(const)
+        word ^= word >> 16
+        state[:, column] = word
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _StateWords(ISeedSequence):
+    """The PCG64 state words of one derived stream, for PCG64 to seed itself from."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _trial_generators(master_seed: int, trials: int):
+    """The streams of trials 0 .. trials - 1, with spawn index i for trial i.
+
+    The state words are derived CHUNK_ELEMENTS trials at a time, whatever
+    the kernel's chunks, since each derivation has a fixed cost of several
+    numpy children.
+    """
+    for start in range(0, trials, CHUNK_ELEMENTS):
+        for words in _spawn_states(master_seed, np.arange(start, min(start + CHUNK_ELEMENTS, trials))):
+            yield np.random.Generator(np.random.PCG64(_StateWords(words)))
+
+
 def _draw(rng: np.random.Generator, k: int, d: int, n: int) -> np.ndarray:
     # high endpoint exclusive: numerators 1 .. 2^k - 1, unbiased
     return rng.integers(1, 2**k, size=(n, d))
@@ -144,19 +213,24 @@ def _first_misses(numerators: np.ndarray, k: int, corners: np.ndarray) -> np.nda
 
     ``numerators`` is a (trials, n, d) array of grid numerators and
     ``corners`` a corner matrix (see ClassTable.corners); a trial that hits
-    every core gets ``len(corners)``. The points are counted into one
-    occupancy table on the numerators 1 .. 2^k - 1 per axis plus a trailing
-    zero cell, with the trial as last axis, so that reading one cell for
-    every trial is one contiguous row, and its cumulative sums are taken
-    along every grid axis. A point's cell reads its numerators minus one as
-    base-(2^k - 1) digits, formed by one multiply-add per axis rather than a
-    product with the digit weights, which numpy computes for integers without
-    BLAS at several times the cost. Read as digits, the numerators themselves
-    overshoot each cell by the all-ones digit string, so that many leading
-    counts are cut off the bincount rather than subtracted from every point.
-    Each core count is the signed sum of its row of corner cells,
-    BLOCK_CLASSES classes at a time; a trial leaves after the block holding
-    its first empty core.
+    every core gets ``len(corners)``.
+    """
+    return _block_scan(_occupancy(numerators, k), corners)
+
+
+def _occupancy(numerators: np.ndarray, k: int) -> np.ndarray:
+    """Cumulative occupancy table of a (trials, n, d) numerator array, as (cells + 1, trials).
+
+    The points are counted into one table on the numerators 1 .. 2^k - 1 per
+    axis plus a trailing zero cell, with the trial as last axis, so that
+    reading one cell for every trial is one contiguous row, and its
+    cumulative sums are taken along every grid axis. A point's cell reads its
+    numerators minus one as base-(2^k - 1) digits, formed by one multiply-add
+    per axis rather than a product with the digit weights, which numpy
+    computes for integers without BLAS at several times the cost. Read as
+    digits, the numerators themselves overshoot each cell by the all-ones
+    digit string, so that many leading counts are cut off the bincount rather
+    than subtracted from every point.
     """
     trials, _, d = numerators.shape
     g = 2**k - 1
@@ -172,6 +246,18 @@ def _first_misses(numerators: np.ndarray, k: int, corners: np.ndarray) -> np.nda
     flat = np.bincount(bins.ravel(), minlength=below + (cells + 1) * trials)[below:]
     flat = flat.reshape(cells + 1, trials)
     _prefix_sums(flat[:cells], g, d)
+    return flat
+
+
+def _block_scan(flat: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """Row of each trial's first empty core in a corner matrix, read off an occupancy table.
+
+    Each core count is the signed sum of its row of corner cells,
+    BLOCK_CLASSES classes at a time; a trial leaves after the block holding
+    its first empty core. The table is left as it is, so that several corner
+    matrices can read one table.
+    """
+    trials = flat.shape[1]
     first = np.full(trials, len(corners))
     live = np.arange(trials)
     for start in range(0, len(corners), BLOCK_CLASSES):
@@ -216,12 +302,13 @@ def _first_miss(numerators: np.ndarray, k: int, table: ClassTable) -> int:
     """Table row of the first core an (n, d) numerator set misses, or len(table.anchors) if none.
 
     The minimal cores decide whether the set misses any core; only a miss
-    reads the full table for its first row.
+    reads the full table for its first row, off the same occupancy table.
     """
+    flat = _occupancy(numerators[None], k)
     minimal = table.minimal_corners
-    if _first_misses(numerators[None], k, minimal)[0] == len(minimal):
+    if _block_scan(flat, minimal)[0] == len(minimal):
         return len(table.anchors)
-    return int(_first_misses(numerators[None], k, table.corners)[0])
+    return int(_block_scan(flat, table.corners)[0])
 
 
 def certify_dispersion(points: PointSet, k, *, limit: int | None = None) -> CertificateResult:
@@ -325,16 +412,16 @@ def monte_carlo_success(
     """Certificate success rate over independently seeded trials.
 
     Trial i samples with spawn index i, so the summary is a pure function of
-    (master_seed, k, d, n, trials). The enumeration guard is checked before
-    any trial is drawn; the trials are then certified in chunks, one
-    certificate kernel call per chunk. ``threads`` is deprecated and has no
-    effect.
+    (master_seed, k, d, n, trials). Spawn indices are one key word each, so
+    at most 2^32 trials run. The enumeration guard is checked before any
+    trial is drawn; the trials are then certified in chunks, one certificate
+    kernel call per chunk. ``threads`` is deprecated and has no effect.
     """
     kk = require_k(k)
     if d < 1 or n < 1:
         raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
+    if not 1 <= trials <= 2**32:
+        raise ValueError(f"need 1 <= trials <= 2**32, got {trials}")
     if threads > 1:
         warnings.warn(
             "monte_carlo_success(threads=) is deprecated and has no effect",
@@ -345,10 +432,10 @@ def monte_carlo_success(
     corners = feasible_class_table(kk, d, limit=limit).minimal_corners
     classes = len(corners)
     chunk = _trials_per_chunk(kk, d, n, classes)
+    draws = (_draw(rng, kk, d, n) for rng in _trial_generators(master_seed, trials))
     successes = 0
     for start in range(0, trials, chunk):
-        indices = range(start, min(start + chunk, trials))
-        numerators = np.stack([_draw(_generator(master_seed, i), kk, d, n) for i in indices])
+        numerators = np.stack(list(itertools.islice(draws, chunk)))
         first = _first_misses(numerators, kk, corners)
         successes += int(np.count_nonzero(first == classes))
 

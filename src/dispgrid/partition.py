@@ -272,30 +272,47 @@ def feasible_class_table(k, d: int, *, limit: int | None = None) -> ClassTable:
     numerators of the span vectors before any exists, a count that also bounds
     the certificate kernel's largest array per trial, its (2^k - 1)^d cells
     plus one zero cell; then, with the feasible spans built, the classes times
-    their 2d anchor and span entries plus 2^L corner columns, and the classes
-    of minimal spans times 2^L more for the minimal corner matrix, before the
-    anchors are expanded, a count cached with the feasible spans.
+    their 2d anchor and span entries plus 2^L corner columns, before the
+    minimal spans are sought; last, that count plus the classes of minimal
+    spans times 2^L more for the minimal corner matrix, before the anchors
+    are expanded. Both table counts are cached.
     """
     kk = require_k(k)
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
     check_enumeration("span grid", (2**kk - 1) ** d, limit)
-    check_enumeration("box-class table", _feasible_spans(kk, d)[1], limit)
+    entries = _feasible_spans(kk, d)[1]
+    check_enumeration("box-class table", entries, limit)
+    check_enumeration("box-class table", entries + _minimal_entries(kk, d), limit)
     return _class_table(kk, d)
 
 
 @functools.lru_cache(maxsize=8)
 def _feasible_spans(k: int, d: int) -> tuple[np.ndarray, int]:
-    """The feasible span vectors in lexicographic order, and the entries of their class table."""
+    """The feasible span vectors in lexicographic order, and their classes' entries.
+
+    The entries are the classes times their 2d anchor and span entries plus
+    the 2^L columns of the full corner matrix.
+    """
     m = 2**k
     # prod(span + 1) per span vector, row-major and so lexicographic; fits in int64 if in memory
     feasible = functools.reduce(np.multiply.outer, [np.arange(2, m + 1)] * d) > m ** (d - 1)
     spans = np.stack(np.unravel_index(np.flatnonzero(feasible), feasible.shape), 1) + 1
-    # a span below 2^k - 1 admits anchors above 1, each axis of which is a corner axis
-    columns = 2 ** int((spans < m - 1).sum(axis=1).max())
-    classes = np.prod(m - spans, axis=1)
-    minimal = classes[_minimal_spans(k, spans)]
-    return spans, int(classes.sum()) * (2 * d + columns) + int(minimal.sum()) * columns
+    classes = int(np.prod(m - spans, axis=1).sum())
+    return spans, classes * (2 * d + _corner_columns(k, spans))
+
+
+@functools.lru_cache(maxsize=8)
+def _minimal_entries(k: int, d: int) -> int:
+    """The entries of the minimal corner matrix: the classes of minimal spans times 2^L."""
+    spans = _feasible_spans(k, d)[0]
+    minimal = spans[_minimal_spans(k, spans)]
+    return int(np.prod(2**k - minimal, axis=1).sum()) * _corner_columns(k, spans)
+
+
+def _corner_columns(k: int, spans: np.ndarray) -> int:
+    """2^L, L the most axes whose span, below 2^k - 1, admits anchors above 1, each a corner axis."""
+    return 2 ** int((spans < 2**k - 1).sum(axis=1).max())
 
 
 @functools.lru_cache(maxsize=8)

@@ -497,6 +497,28 @@ def _spy_table_and_draw(monkeypatch) -> list:
     return calls
 
 
+class TestSpawnStates:
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 99, 2**200 + 1]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_words_match_the_spawned_seed_sequence(self, seed):
+        indices = np.array([*range(1000), 2**32 - 1])
+        want = [
+            np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64)
+            for i in indices.tolist()
+        ]
+        got = construct._spawn_states(seed, indices)
+        assert got.dtype == np.uint64 and np.array_equal(got, np.array(want))
+
+    @pytest.mark.parametrize("seed", SEEDS[::2])
+    def test_streams_match_the_spawned_generators(self, monkeypatch, seed):
+        # word blocks of 7 trials: every stream after the first block comes from a later derivation
+        monkeypatch.setattr(construct, "CHUNK_ELEMENTS", 7)
+        got = [construct._draw(rng, 3, 2, 20) for rng in construct._trial_generators(seed, 30)]
+        want = [construct._draw(construct._generator(seed, i), 3, 2, 20) for i in range(30)]
+        assert len(got) == 30 and all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 class TestWilsonInterval:
     def test_contains_phat(self):
         low, high = wilson_interval(40, 100)
@@ -570,15 +592,38 @@ class TestMonteCarlo:
         kind = "pass" if all(passes) else "fail" if not any(passes) else "mixed"
         assert kind == outcome
 
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3, 2**160 + 7])
+    @pytest.mark.parametrize("chunk_elements", [construct.CHUNK_ELEMENTS, 2**7])
+    def test_matches_reference_across_word_blocks(self, monkeypatch, seed, chunk_elements):
+        # at 2^7 the states come 128 trials at a time and the kernel takes 3, so they do not line up
+        monkeypatch.setattr(construct, "CHUNK_ELEMENTS", chunk_elements)
+        chunk = construct._trials_per_chunk(2, 2, 20, len(feasible_class_table(2, 2).minimal_corners))
+        assert chunk_elements % chunk
+        passes = reference_monte_carlo(2, 2, 20, 300, master_seed=seed)
+        assert monte_carlo_success(2, 2, 20, 300, master_seed=seed).successes == sum(passes)
+
+    def test_refuses_trials_past_one_key_word_before_the_table_or_a_draw(self, monkeypatch):
+        # spawn indices from 2^32 on take two key words, which no stream derivation reads
+        calls = _spy_table_and_draw(monkeypatch)
+
+        def no_trial(*args):
+            raise AssertionError("a trial started")
+
+        monkeypatch.setattr(construct, "_spawn_states", no_trial)
+        with pytest.raises(ValueError, match="need 1 <= trials <= 2\\*\\*32, got 4294967297"):
+            monte_carlo_success(2, 2, 10, trials=2**32 + 1, master_seed=1)
+        assert calls == []
+
     def test_guard_refuses_before_sampling(self, monkeypatch):
+        # the trials' streams come from their derived state words
         calls = []
 
-        def counting(seed, index=None):
-            calls.append(index)
-            return generator(seed, index)
+        def counting(seed, indices):
+            calls.extend(indices.tolist())
+            return spawn_states(seed, indices)
 
-        generator = construct._generator
-        monkeypatch.setattr(construct, "_generator", counting)
+        spawn_states = construct._spawn_states
+        monkeypatch.setattr(construct, "_spawn_states", counting)
         with pytest.raises(GuardExceeded):
             monte_carlo_success(2, 2, 10, trials=5, master_seed=1, limit=10)
         with pytest.raises(GuardExceeded):

@@ -35,7 +35,7 @@ from oracles import (
 
 
 def table_entries(k, d):
-    """Anchor, span and both corner matrices' entries of the feasible-class table, span by span."""
+    """Entries of the feasible-class table, span by span: anchors, spans and full corners, then minimal corners."""
     m = 2**k
     spans = [
         span for span in itertools.product(range(1, m), repeat=d)
@@ -50,7 +50,7 @@ def table_entries(k, d):
         for span in spans
         if not any(span[:i] + (span[i] - 1,) + span[i + 1 :] in feasible for i in range(d))
     )
-    return classes * (2 * d + columns) + minimal * columns
+    return classes * (2 * d + columns), minimal * columns
 
 
 def random_large_box(rng, k, d):
@@ -276,16 +276,19 @@ class TestEnumeration:
         "k,d,what,count",
         [
             (2, 17, "span grid", 129_140_163),
-            (7, 2, "box-class table", 487_997_344),
+            (7, 2, "box-class table", 486_996_072),
             # the former proxy m^d (m-1)^d admitted this table of 1.3e8 entries
-            (13, 1, "box-class table", 134_217_726),
+            (13, 1, "box-class table", 134_201_344),
         ],
     )
     def test_default_guard_refuses_with_exact_counts(self, monkeypatch, k, d, what, count):
-        # each stage counts before it builds: the span volumes, then the expanded anchors
+        # each stage counts before it builds: the span volumes, then the minimal
+        # spans and the expanded anchors
         partition._feasible_spans.cache_clear()
+        partition._minimal_entries.cache_clear()
         built = []
-        for name, step in [("_feasible_spans", "spans"), ("_class_table", "table")]:
+        steps = [("_feasible_spans", "spans"), ("_minimal_spans", "minimal"), ("_class_table", "table")]
+        for name, step in steps:
             original = getattr(partition, name)
             monkeypatch.setattr(
                 partition, name, lambda *args, f=original, s=step: built.append(s) or f(*args)
@@ -295,7 +298,7 @@ class TestEnumeration:
         assert (info.value.what, info.value.count) == (what, count)
         assert built == ([] if what == "span grid" else ["spans"])
         if what == "box-class table":
-            assert count == table_entries(k, d)
+            assert count == table_entries(k, d)[0]
 
     @pytest.mark.parametrize("k,d", [(2, 1), (2, 8), (2, 13), (3, 3), (5, 2)])
     def test_guard_counts_the_built_table(self, k, d):
@@ -303,12 +306,31 @@ class TestEnumeration:
         table = feasible_class_table(k, d)
         built = (table.anchors, table.spans, table.corners, table.minimal_corners)
         entries = sum(array.size for array in built)
-        assert entries == table_entries(k, d)
+        assert entries == sum(table_entries(k, d))
         need = max((2**k - 1) ** d, entries)
         assert feasible_class_table(k, d, limit=need) is table
         with pytest.raises(GuardExceeded) as info:
             feasible_class_table(k, d, limit=need - 1)
         assert info.value.count == need
+
+    @pytest.mark.parametrize("k,d", [(2, 8), (3, 3), (5, 2)])
+    def test_table_refusal_seeks_no_minimal_spans(self, monkeypatch, k, d):
+        # the class count refuses before the minimal spans are sought; their count then decides
+        partition._feasible_spans.cache_clear()
+        partition._minimal_entries.cache_clear()
+        sought = []
+        minimal_spans = partition._minimal_spans
+        monkeypatch.setattr(
+            partition, "_minimal_spans", lambda *args: sought.append(args) or minimal_spans(*args)
+        )
+        classes, minimal = table_entries(k, d)
+        assert classes > (2**k - 1) ** d
+        with pytest.raises(GuardExceeded) as info:
+            feasible_class_table(k, d, limit=classes - 1)
+        assert (info.value.what, info.value.count, sought) == ("box-class table", classes, [])
+        with pytest.raises(GuardExceeded) as info:
+            feasible_class_table(k, d, limit=classes + minimal - 1)
+        assert (info.value.what, info.value.count, len(sought)) == ("box-class table", classes + minimal, 1)
 
     @pytest.mark.parametrize(
         "k,d",
@@ -321,7 +343,7 @@ class TestEnumeration:
         want, want_entries = reference_feasible_spans(k, d)
         assert spans.dtype == want.dtype
         assert np.array_equal(spans, want)
-        assert entries == want_entries
+        assert entries + partition._minimal_entries(k, d) == want_entries
 
     def test_table_build_holds_no_span_grid(self):
         # the (3^11, 11) span grid alone is 15.6 MB of int64
