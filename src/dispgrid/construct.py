@@ -24,11 +24,11 @@ another grid rounded onto this one, a fail implies nothing about the true
 dispersion. One kernel counts the points in every core box by
 inclusion-exclusion over the corners of a prefix-sum occupancy table on the
 grid numerators 1 .. 2^k - 1, for one point set or for a chunk of Monte
-Carlo trials at once, reading each class's corners off a corner matrix of
-its feasible-class table. Pass or fail reads only the inclusion-minimal
-cores, which every other core contains; only a set that fails is counted
-again over the full table, whose first class in table order with a zero
-count is the witness.
+Carlo trials at once, reading each class's corners off the corner matrix of
+its feasible-class table. It reads only the inclusion-minimal cores, which
+every other core contains: they decide pass or fail, and a set's first
+empty core in table order is one of them, so one scan also names the
+witness.
 """
 
 import itertools
@@ -209,28 +209,23 @@ def full_grid(k, d: int, *, limit: int | None = None) -> PointSet:
 
 
 def _first_misses(numerators: np.ndarray, k: int, corners: np.ndarray) -> np.ndarray:
-    """Row of each trial's first class with an empty core, in a class table's corner matrix.
+    """Row of each trial's first class with an empty core, in a corner matrix.
 
     ``numerators`` is a (trials, n, d) array of grid numerators and
-    ``corners`` a corner matrix (see ClassTable.corners); a trial that hits
-    every core gets ``len(corners)``.
-    """
-    return _block_scan(_occupancy(numerators, k), corners)
-
-
-def _occupancy(numerators: np.ndarray, k: int) -> np.ndarray:
-    """Cumulative occupancy table of a (trials, n, d) numerator array, as (cells + 1, trials).
-
-    The points are counted into one table on the numerators 1 .. 2^k - 1 per
-    axis plus a trailing zero cell, with the trial as last axis, so that
-    reading one cell for every trial is one contiguous row, and its
-    cumulative sums are taken along every grid axis. A point's cell reads its
-    numerators minus one as base-(2^k - 1) digits, formed by one multiply-add
-    per axis rather than a product with the digit weights, which numpy
-    computes for integers without BLAS at several times the cost. Read as
-    digits, the numerators themselves overshoot each cell by the all-ones
-    digit string, so that many leading counts are cut off the bincount rather
-    than subtracted from every point.
+    ``corners`` a corner matrix (see ClassTable.minimal_corners); a trial
+    that hits every core gets ``len(corners)``. The points are counted into
+    one table on the numerators 1 .. 2^k - 1 per axis plus a trailing zero
+    cell, with the trial as last axis, so that reading one cell for every
+    trial is one contiguous row, and its cumulative sums are taken along
+    every grid axis. A point's cell reads its numerators minus one as
+    base-(2^k - 1) digits, formed by one multiply-add per axis rather than a
+    product with the digit weights, which numpy computes for integers
+    without BLAS at several times the cost. Read as digits, the numerators
+    themselves overshoot each cell by the all-ones digit string, so that many
+    leading counts are cut off the bincount rather than subtracted from every
+    point. Each core count is the signed sum of its row of corner cells,
+    BLOCK_CLASSES classes at a time; a trial leaves after the block holding
+    its first empty core.
     """
     trials, _, d = numerators.shape
     g = 2**k - 1
@@ -246,18 +241,7 @@ def _occupancy(numerators: np.ndarray, k: int) -> np.ndarray:
     flat = np.bincount(bins.ravel(), minlength=below + (cells + 1) * trials)[below:]
     flat = flat.reshape(cells + 1, trials)
     _prefix_sums(flat[:cells], g, d)
-    return flat
 
-
-def _block_scan(flat: np.ndarray, corners: np.ndarray) -> np.ndarray:
-    """Row of each trial's first empty core in a corner matrix, read off an occupancy table.
-
-    Each core count is the signed sum of its row of corner cells,
-    BLOCK_CLASSES classes at a time; a trial leaves after the block holding
-    its first empty core. The table is left as it is, so that several corner
-    matrices can read one table.
-    """
-    trials = flat.shape[1]
     first = np.full(trials, len(corners))
     live = np.arange(trials)
     for start in range(0, len(corners), BLOCK_CLASSES):
@@ -301,14 +285,10 @@ def _prefix_sums(table: np.ndarray, g: int, d: int) -> None:
 def _first_miss(numerators: np.ndarray, k: int, table: ClassTable) -> int:
     """Table row of the first core an (n, d) numerator set misses, or len(table.anchors) if none.
 
-    The minimal cores decide whether the set misses any core; only a miss
-    reads the full table for its first row, off the same occupancy table.
+    That core is the first missed core of minimal spans (see ClassTable).
     """
-    flat = _occupancy(numerators[None], k)
-    minimal = table.minimal_corners
-    if _block_scan(flat, minimal)[0] == len(minimal):
-        return len(table.anchors)
-    return int(_block_scan(flat, table.corners)[0])
+    i = _first_misses(numerators[None], k, table.minimal_corners)[0]
+    return int(table.minimal_rows[i]) if i < len(table.minimal_rows) else len(table.anchors)
 
 
 def certify_dispersion(points: PointSet, k, *, limit: int | None = None) -> CertificateResult:
@@ -318,15 +298,16 @@ def certify_dispersion(points: PointSet, k, *, limit: int | None = None) -> Cert
     certificate kernel counts the points in the inclusion-minimal cores,
     those of the classes whose spans cannot be lowered by one on any axis
     and stay feasible: every other core contains one of them, so they
-    decide pass or fail. Only a fail counts every class, for the witness.
-    A pass implies dispersion <= 2^-k, in fact exactly 2^-k: the box
-    (0, 2^-k) x (0, 1)^(d-1) holds no grid point. A fail carries as witness
-    the first class, in the order of enumerate_feasible_classes, whose core
-    is empty, with ``classes_checked`` its 1-based position, the same values
-    a scan that stops at the first miss reports. A fail implies dispersion
-    above 2^-k: the open box one grid step wider than the empty core on
-    every side holds no point of the set, and its volume prod(span + 1) /
-    2^(kd) exceeds 2^-k because the class is feasible.
+    decide pass or fail, and the first empty core in table order is one of
+    them, so the same scan names the witness. A pass implies dispersion
+    <= 2^-k, in fact exactly 2^-k: the box (0, 2^-k) x (0, 1)^(d-1) holds no
+    grid point. A fail carries as witness the first class, in the order of
+    enumerate_feasible_classes, whose core is empty, with ``classes_checked``
+    its 1-based position, the same values a scan that stops at the first
+    miss reports. A fail implies dispersion above 2^-k: the open box one
+    grid step wider than the empty core on every side holds no point of the
+    set, and its volume prod(span + 1) / 2^(kd) exceeds 2^-k because the
+    class is feasible.
     """
     kk = require_k(k)
     if points.repr != GRID_REPR:

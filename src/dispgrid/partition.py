@@ -21,12 +21,11 @@ The feasible classes of one (k, d) are then built span by span, each feasible
 span contributing its whole anchor block, into one cached read-only table.
 Lowering one span by one at the same anchor shrinks the core, so every core
 contains the core of a class with minimal spans, none of which can be lowered
-by one and stay feasible; the table reads those cores on their own too, as
-they decide whether a point set hits every core.
+by one and stay feasible; the table reads only those cores, as they decide
+whether a point set hits every core and name the first core it misses.
 """
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,17 +59,6 @@ class CoreBox:
     @property
     def dim(self) -> int:
         return len(self.lo)
-
-    @property
-    def grid_point_count(self) -> int:
-        return math.prod(hi - lo + 1 for lo, hi in zip(self.lo, self.hi))
-
-    def contains_numerators(self, nums) -> bool:
-        return all(lo <= a <= hi for a, lo, hi in zip(nums, self.lo, self.hi))
-
-    def iter_grid_points(self) -> Iterator[tuple[int, ...]]:
-        ranges = [range(lo, hi + 1) for lo, hi in zip(self.lo, self.hi)]
-        return itertools.product(*ranges)
 
 
 @dataclass(frozen=True)
@@ -192,10 +180,14 @@ class ClassTable:
     """Every feasible class of one (k, d), as read-only (count, d) anchor and span arrays.
 
     Rows run over the feasible spans in lexicographic order, each span's
-    anchors in lexicographic order. ``corners`` reads the core count of every
-    class, so that a set's first empty core in this order is its witness;
-    ``minimal_corners`` reads only the inclusion-minimal cores, enough to
-    decide whether a set hits every core.
+    anchors in lexicographic order. A set's witness, the first class in this
+    order whose core it misses, has minimal spans. Take that class (s, a) and
+    lower its spans by one at a time while it stays feasible: the anchor a
+    stays valid and the core only shrinks, so this ends at a class (s', a) of
+    minimal spans whose core the set misses too. As s' <= s on every axis,
+    (s', a) comes no later in table order, so s' = s. The first missed class
+    of minimal spans, at its table row, is therefore the witness, and
+    ``minimal_corners`` reads only the cores of those classes.
     """
 
     k: int
@@ -203,37 +195,34 @@ class ClassTable:
     spans: np.ndarray
 
     @functools.cached_property
-    def corners(self) -> np.ndarray:
-        """Cells of the certificate kernel's table that sum to each class's core count.
-
-        Built on first use, as a read-only (classes, 2^L) matrix of cell
-        indices into the row-major cumulative table over the numerators
-        1 .. 2^k - 1 per axis, whose (2^k - 1)^d cells are followed by one zero
-        cell. L is the largest number of axes with anchor > 1 in any class.
-        Column t starts at the core's top cell, anchor + span - 1 on every
-        axis, and steps to the cell below the core, anchor - 1, on the class's
-        anchor>1 axes picked by the set bits of t; it enters the count with
-        sign (-1)^popcount(t). A corner below anchor 1 lies outside the table
-        and counts zero, so it has no column. Columns past a class's own 2^l
-        corners read the zero cell.
-        """
-        return _corner_matrix(self.k, self.anchors, self.spans)
+    def minimal_rows(self) -> np.ndarray:
+        """Table rows, ascending, of the classes whose spans are minimal, built on first use."""
+        rows = np.flatnonzero(_minimal_spans(self.k, self.spans))
+        rows.flags.writeable = False
+        return rows
 
     @functools.cached_property
     def minimal_corners(self) -> np.ndarray:
-        """The rows of ``corners`` of the classes whose spans are minimal, built on first use.
+        """Cells of the certificate kernel's table that sum to each minimal class's core count.
 
-        A set hits every core exactly when it hits these cores: shortening one
-        span of a class by one at the same anchor shrinks its core, so every
-        core contains the core of a class with minimal spans. Lowering spans
-        leaves the anchors, so these rows are as wide as ``corners``.
+        Built on first use, as a read-only (len(minimal_rows), 2^L) matrix of
+        cell indices into the row-major cumulative table over the numerators
+        1 .. 2^k - 1 per axis, whose (2^k - 1)^d cells are followed by one zero
+        cell. L is the largest number of axes with anchor > 1 in any class,
+        which a class of minimal spans attains: lowering spans at the same
+        anchor reaches one. Column t starts at the core's top
+        cell, anchor + span - 1 on every axis, and steps to the cell below the
+        core, anchor - 1, on the class's anchor>1 axes picked by the set bits
+        of t; it enters the count with sign (-1)^popcount(t). A corner below
+        anchor 1 lies outside the table and counts zero, so it has no column.
+        Columns past a class's own 2^l corners read the zero cell.
         """
-        keep = _minimal_spans(self.k, self.spans)
-        return _corner_matrix(self.k, self.anchors[keep], self.spans[keep])
+        rows = self.minimal_rows
+        return _corner_matrix(self.k, self.anchors[rows], self.spans[rows])
 
 
 def _corner_matrix(k: int, anchors: np.ndarray, spans: np.ndarray) -> np.ndarray:
-    """The corner matrix of the classes in rows of anchors and spans (see ClassTable.corners)."""
+    """The corner matrix of the classes in rows of anchors and spans (see ClassTable.minimal_corners)."""
     d = anchors.shape[1]
     g = 2**k - 1
     strides = g ** np.arange(d - 1, -1, -1)
@@ -272,10 +261,10 @@ def feasible_class_table(k, d: int, *, limit: int | None = None) -> ClassTable:
     numerators of the span vectors before any exists, a count that also bounds
     the certificate kernel's largest array per trial, its (2^k - 1)^d cells
     plus one zero cell; then, with the feasible spans built, the classes times
-    their 2d anchor and span entries plus 2^L corner columns, before the
-    minimal spans are sought; last, that count plus the classes of minimal
-    spans times 2^L more for the minimal corner matrix, before the anchors
-    are expanded. Both table counts are cached.
+    their 2d anchor and span entries, before the minimal spans are sought;
+    last, that count plus the classes of minimal spans times the 2^L columns
+    of their corner matrix, before the anchors are expanded. Both table counts
+    are cached.
     """
     kk = require_k(k)
     if d < 1:
@@ -289,30 +278,26 @@ def feasible_class_table(k, d: int, *, limit: int | None = None) -> ClassTable:
 
 @functools.lru_cache(maxsize=8)
 def _feasible_spans(k: int, d: int) -> tuple[np.ndarray, int]:
-    """The feasible span vectors in lexicographic order, and their classes' entries.
-
-    The entries are the classes times their 2d anchor and span entries plus
-    the 2^L columns of the full corner matrix.
-    """
+    """The feasible span vectors in lexicographic order, and their classes' 2d anchor and span entries."""
     m = 2**k
     # prod(span + 1) per span vector, row-major and so lexicographic; fits in int64 if in memory
     feasible = functools.reduce(np.multiply.outer, [np.arange(2, m + 1)] * d) > m ** (d - 1)
     spans = np.stack(np.unravel_index(np.flatnonzero(feasible), feasible.shape), 1) + 1
     classes = int(np.prod(m - spans, axis=1).sum())
-    return spans, classes * (2 * d + _corner_columns(k, spans))
+    return spans, classes * 2 * d
 
 
 @functools.lru_cache(maxsize=8)
 def _minimal_entries(k: int, d: int) -> int:
-    """The entries of the minimal corner matrix: the classes of minimal spans times 2^L."""
+    """The entries of the minimal corner matrix: the classes of minimal spans times 2^L.
+
+    A span below 2^k - 1 admits anchors above 1, so L is the most such spans
+    in one minimal span vector.
+    """
     spans = _feasible_spans(k, d)[0]
     minimal = spans[_minimal_spans(k, spans)]
-    return int(np.prod(2**k - minimal, axis=1).sum()) * _corner_columns(k, spans)
-
-
-def _corner_columns(k: int, spans: np.ndarray) -> int:
-    """2^L, L the most axes whose span, below 2^k - 1, admits anchors above 1, each a corner axis."""
-    return 2 ** int((spans < 2**k - 1).sum(axis=1).max())
+    columns = 2 ** int((minimal < 2**k - 1).sum(axis=1).max())
+    return int(np.prod(2**k - minimal, axis=1).sum()) * columns
 
 
 @functools.lru_cache(maxsize=8)
@@ -338,15 +323,6 @@ def enumerate_feasible_classes(k, d: int, *, limit: int | None = None) -> Iterat
     table = feasible_class_table(k, d, limit=limit)
     for anchor, span in zip(table.anchors.tolist(), table.spans.tolist()):
         yield BoxClass(k=table.k, anchor=tuple(anchor), span=tuple(span))
-
-
-def anchor_count(span, k) -> int:
-    """Per-axis anchor count prod(2^k - span) paired with one span vector."""
-    m = 2**require_k(k)
-    for s in span:
-        if not (0 <= s <= m - 1):
-            raise ValueError(f"span {s} outside 0 .. {m - 1}")
-    return math.prod(m - s for s in span)
 
 
 def anchor_formula_count(k, d: int) -> int:

@@ -261,13 +261,23 @@ def per_outcome_failure_probability(k: int, d: int, n: int) -> Fraction:
     return Fraction(failures, (2**k - 1) ** (d * n))
 
 
+def core_contains(core, nums) -> bool:
+    """Whether a core box holds the grid point with numerators nums."""
+    return all(lo <= a <= hi for a, lo, hi in zip(nums, core.lo, core.hi))
+
+
+def core_grid_points(core) -> list:
+    """The grid points of a core box, as numerator tuples in lexicographic order."""
+    return list(itertools.product(*(range(lo, hi + 1) for lo, hi in zip(core.lo, core.hi))))
+
+
 def brute_force_hit_probability(core, k: int, d: int) -> Fraction:
     """Fraction of all grid points lying in the core box, by enumeration."""
     g = 2**k - 1
     hits = sum(
         1
         for p in itertools.product(range(1, 2**k), repeat=d)
-        if core.contains_numerators(p)
+        if core_contains(core, p)
     )
     return Fraction(hits, g**d)
 
@@ -362,9 +372,9 @@ def reference_feasible_spans(k: int, d: int) -> tuple[np.ndarray, int]:
     """The feasible span vectors, filtered from the whole grid of span vectors, and table entries.
 
     The grid holds d (2^k - 1)^d int64 entries. The table entries are the
-    classes times their 2d anchor and span entries plus the 2^L corner
-    columns of the widest class, and 2^L more for each class whose span
-    vector is minimal: no feasible span vector lies one below it on one axis.
+    classes times their 2d anchor and span entries, and the 2^L corner
+    columns of the widest class for each class whose span vector is minimal:
+    no feasible span vector lies one below it on one axis.
     """
     m = 2**k
     spans = np.indices((m - 1,) * d).reshape(d, -1).T + 1
@@ -379,7 +389,7 @@ def reference_feasible_spans(k: int, d: int) -> tuple[np.ndarray, int]:
         minimal &= ~below[tuple((spans - step).T)]
     classes = np.prod(m - spans, axis=1)
     columns = 2 ** int((spans[feasible] < m - 1).sum(axis=1).max())
-    entries = int(classes[feasible].sum()) * (2 * d + columns)
+    entries = int(classes[feasible].sum()) * 2 * d
     return spans[feasible], entries + int(classes[minimal].sum()) * columns
 
 
@@ -419,7 +429,7 @@ def reference_certify(point_sets, k: int) -> list:
         core = cls.core_box()
         hit = []
         for i in pending:
-            if any(core.contains_numerators(row) for row in rows[i]):
+            if any(core_contains(core, row) for row in rows[i]):
                 hit.append(i)
             else:
                 results[i] = (False, checked, cls)

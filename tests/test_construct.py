@@ -25,11 +25,11 @@ from dispgrid import (
     sample_grid_points,
     wilson_interval,
 )
-from dispgrid import construct
+from dispgrid import construct, partition
 from dispgrid.guards import GuardExceeded
-from dispgrid.partition import ClassTable, _class_table, _feasible_spans, feasible_class_table
+from dispgrid.partition import _class_table, _feasible_spans, feasible_class_table
 
-from oracles import gray_code_first_misses, reference_certify, reference_monte_carlo
+from oracles import core_contains, gray_code_first_misses, reference_certify, reference_monte_carlo
 
 
 class TestSampling:
@@ -106,7 +106,7 @@ class TestCertificate:
     def test_single_point_fails(self):
         cert = certify_dispersion(PointSet.from_numerators(2, 2, [(1, 1)]), 2)
         assert not cert.passed
-        assert not cert.witness.core_box().contains_numerators((1, 1))
+        assert not core_contains(cert.witness.core_box(), (1, 1))
 
     def test_k_mismatch(self):
         with pytest.raises(ValueError):
@@ -173,7 +173,7 @@ class TestCertificate:
         ]
         lo = np.array([core.lo for core in cores])[:, None]
         hi = np.array([core.hi for core in cores])[:, None]
-        corners = ClassTable(3, anchors, spans).corners
+        corners = partition._corner_matrix(3, anchors, spans)
         first = construct._first_misses(numerators, 3, corners)
         for trial, got in zip(numerators, first.tolist()):
             hit = ((lo <= trial) & (trial <= hi)).all(axis=2).any(axis=1)
@@ -214,7 +214,8 @@ class TestCertificate:
             certify_dispersion(pts, 2)
 
     def test_witness_from_the_full_table(self):
-        # the minimal cores decide, and a fail reports the full table's first miss
+        # the minimal cores decide, and a fail reports the full table's first miss,
+        # read here by the Gray-code kernel over every class
         rng = np.random.default_rng(5)
         outcomes = Counter()
         cases = [(2, 4, 40), (2, 7, 80), (3, 2, 120), (3, 3, 600), (4, 2, 500), (5, 2, 4000)]
@@ -223,10 +224,34 @@ class TestCertificate:
             for _ in range(12):
                 n, seed = int(rng.integers(1, n_max)), int(rng.integers(2**32))
                 pts = sample_grid_points(k, d, n, seed)
-                i = int(construct._first_misses(pts.points[None], k, table.corners)[0])
+                i = int(gray_code_first_misses(pts.points[None], k, table.anchors, table.spans)[0])
                 assert certify_dispersion(pts, k) == construct._certificate(table, i)
                 outcomes[i == len(table.anchors)] += 1
         assert outcomes[True] > 0 and outcomes[False] > 0
+
+    @pytest.mark.parametrize(
+        "k,d,n_low,n_high",
+        [(2, 3, 4, 20), (2, 8, 20, 45), (3, 2, 10, 60), (3, 3, 40, 120), (4, 2, 60, 250), (5, 2, 300, 1000)],
+    )
+    def test_witness_has_minimal_spans(self, k, d, n_low, n_high):
+        # the first empty core in table order cannot shrink to an earlier one,
+        # so a failing set's witness has no feasible span vector one below it
+        table = feasible_class_table(k, d)
+        feasible = set(map(tuple, table.spans.tolist()))
+        rng = np.random.default_rng(10 * k + d)
+        rows = set()
+        for _ in range(40):
+            n, seed = int(rng.integers(n_low, n_high)), int(rng.integers(2**32))
+            pts = sample_grid_points(k, d, n, seed)
+            cert = certify_dispersion(pts, k)
+            if cert.passed:
+                continue
+            span = cert.witness.span
+            assert not any(span[:i] + (span[i] - 1,) + span[i + 1 :] in feasible for i in range(d))
+            i = int(gray_code_first_misses(pts.points[None], k, table.anchors, table.spans)[0])
+            assert cert == construct._certificate(table, i)
+            rows.add(i)
+        assert len(rows) >= 10
 
     def test_pinned_witness_at_d12(self):
         cert = certify_dispersion(sample_grid_points(2, 12, 30, 3), 2)
@@ -291,17 +316,15 @@ class TestCertificateKernel:
                 rng.integers(1, 2**k, size=(rng.integers(1, 9), rng.integers(0, 3 * cells), d))
                 for _ in range(3)
             ] + [_thinned_grid_chunk(rng, k, d, 8)]
-            minimal = table.minimal_corners
+            # a kernel row past the minimal rows is a pass, one past the table
+            rows = np.append(table.minimal_rows, len(anchors))
             for numerators in chunks:
-                first = construct._first_misses(numerators, k, table.corners)
+                scanned = construct._first_misses(numerators, k, table.minimal_corners)
                 want = gray_code_first_misses(numerators, k, anchors, spans)
-                assert first.tolist() == want.tolist()
-                # the minimal cores decide pass or fail alone
-                decided = construct._first_misses(numerators, k, minimal) == len(minimal)
-                assert decided.tolist() == (want == len(anchors)).tolist()
-                misses = first[first < len(anchors)]
+                assert rows[scanned].tolist() == want.tolist()
+                misses = scanned[scanned < len(table.minimal_rows)]
                 spread = max(spread, len(np.unique(misses // block)))
-                outcomes.update((first == len(anchors)).tolist())
+                outcomes.update((want == len(anchors)).tolist())
         assert outcomes[True] > 0 and outcomes[False] > 0
         assert spread >= 3
 
@@ -356,9 +379,11 @@ class TestCertificateKernel:
         # at (2, 7) no class has more than 4 anchors above 1, so 16 columns
         # replace the 128 corners of a 7-dimensional core
         table = feasible_class_table(2, 7)
-        anchors, spans, corners = table.anchors, table.spans, table.corners
+        anchors, spans = table.anchors, table.spans
+        corners = partition._corner_matrix(2, anchors, spans)
         depth = (anchors > 1).sum(axis=1)
         assert corners.shape == (len(anchors), 16) and depth.max() == 4
+        assert table.minimal_corners.shape == (len(table.minimal_rows), 16)
         zero_cell = 3**7  # the trailing cell past the grid cells, which no point fills
         for column in range(16):
             padding = column >> depth != 0
@@ -426,11 +451,12 @@ class TestGenerateCertified:
 
     @pytest.mark.parametrize("k,d,n", [(3, 2, 30), (4, 2, 100), (2, 9, 30)])
     def test_best_from_the_full_table(self, k, d, n):
-        # the furthest any failed attempt got, each read off the full table
+        # the furthest any failed attempt got, each read off the full table by
+        # the Gray-code kernel
         table = feasible_class_table(k, d)
         reached = max(
-            int(construct._first_misses(
-                construct._draw(construct._generator(11, i), k, d, n)[None], k, table.corners
+            int(gray_code_first_misses(
+                construct._draw(construct._generator(11, i), k, d, n)[None], k, table.anchors, table.spans
             )[0])
             for i in range(6)
         )

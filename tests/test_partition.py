@@ -10,7 +10,6 @@ import pytest
 from dispgrid import (
     Box,
     BoxClass,
-    anchor_count,
     anchor_formula_count,
     certify_dispersion,
     classify_box,
@@ -22,12 +21,14 @@ from dispgrid import (
     short_side_threshold,
 )
 from dispgrid import partition
-from dispgrid.guards import GuardExceeded
+from dispgrid.guards import DEFAULT_ENUMERATION_LIMIT, GuardExceeded
 from dispgrid.partition import feasible_class_table
 
 from oracles import (
     box_in_class,
     classes_from_fine_mesh,
+    core_contains,
+    core_grid_points,
     cores_inside,
     reference_feasible_classes,
     reference_feasible_spans,
@@ -35,7 +36,7 @@ from oracles import (
 
 
 def table_entries(k, d):
-    """Entries of the feasible-class table, span by span: anchors, spans and full corners, then minimal corners."""
+    """Entries of the feasible-class table, span by span: anchors and spans, then minimal corners."""
     m = 2**k
     spans = [
         span for span in itertools.product(range(1, m), repeat=d)
@@ -50,7 +51,7 @@ def table_entries(k, d):
         for span in spans
         if not any(span[:i] + (span[i] - 1,) + span[i + 1 :] in feasible for i in range(d))
     )
-    return classes * (2 * d + columns), minimal * columns
+    return classes * 2 * d, minimal * columns
 
 
 def random_large_box(rng, k, d):
@@ -152,18 +153,16 @@ class TestCoreBox:
     def test_degenerate_singleton(self):
         core = BoxClass(2, (2,), (1,)).core_box()
         assert core.lo == core.hi == (2,)
-        assert core.grid_point_count == 1
-        assert list(core.iter_grid_points()) == [(2,)]
+        assert core_grid_points(core) == [(2,)]
 
     def test_interval_core(self):
         core = BoxClass(2, (1,), (3,)).core_box()
         assert core.lo == (1,) and core.hi == (3,)
-        assert core.grid_point_count == 3
+        assert len(core_grid_points(core)) == 3
 
     def test_product_core(self):
         core = BoxClass(2, (1, 2), (2, 1)).core_box()
-        assert core.grid_point_count == 2
-        assert set(core.iter_grid_points()) == {(1, 2), (2, 2)}
+        assert core_grid_points(core) == [(1, 2), (2, 2)]
 
     def test_infeasible_class_has_no_core(self):
         with pytest.raises(ValueError):
@@ -178,7 +177,7 @@ class TestCoreBox:
             for _ in range(3):
                 box = random_member_box(rng, cls)
                 assert classify_box(box, k).anchor == cls.anchor
-                for nums in core.iter_grid_points():
+                for nums in core_grid_points(core):
                     point = tuple(Fraction(a, m) for a in nums)
                     assert box.contains(point)
 
@@ -201,7 +200,7 @@ class TestEmptyBox:
             core = cls.core_box()
             for nums in grid:
                 point = tuple(Fraction(a, m) for a in nums)
-                assert box.contains(point) == core.contains_numerators(nums)
+                assert box.contains(point) == core_contains(core, nums)
 
     @pytest.mark.parametrize("k,d,n", [(2, 2, 6), (2, 3, 12), (3, 2, 30)])
     def test_witness_of_a_failing_set_is_empty(self, k, d, n):
@@ -248,7 +247,7 @@ class TestEnumeration:
             by_span[c.span] = by_span.get(c.span, 0) + 1
         assert by_span == {(1,): 3, (2,): 2, (3,): 1}
         for span, count in by_span.items():
-            assert count == anchor_count(span, 2)
+            assert count == math.prod(4 - s for s in span)
 
     @pytest.mark.parametrize("k,d", [(2, 1), (3, 1), (2, 2)])
     def test_matches_fine_mesh_oracle(self, k, d):
@@ -276,9 +275,8 @@ class TestEnumeration:
         "k,d,what,count",
         [
             (2, 17, "span grid", 129_140_163),
-            (7, 2, "box-class table", 486_996_072),
-            # the former proxy m^d (m-1)^d admitted this table of 1.3e8 entries
-            (13, 1, "box-class table", 134_201_344),
+            (7, 2, "box-class table", 243_498_036),
+            (14, 1, "box-class table", 268_419_072),
         ],
     )
     def test_default_guard_refuses_with_exact_counts(self, monkeypatch, k, d, what, count):
@@ -300,11 +298,24 @@ class TestEnumeration:
         if what == "box-class table":
             assert count == table_entries(k, d)[0]
 
+    @pytest.mark.parametrize("k,d,count", [(13, 1, 67_117_054), (3, 6, 96_784_932)])
+    def test_default_guard_admits_with_exact_counts(self, monkeypatch, k, d, count):
+        # admitted by the default limit, pinned one below their count so that no table is built
+        partition._feasible_spans.cache_clear()
+        partition._minimal_entries.cache_clear()
+        built = []
+        table = partition._class_table
+        monkeypatch.setattr(partition, "_class_table", lambda *args: built.append(args) or table(*args))
+        assert sum(table_entries(k, d)) == count <= DEFAULT_ENUMERATION_LIMIT
+        with pytest.raises(GuardExceeded) as info:
+            feasible_class_table(k, d, limit=count - 1)
+        assert (info.value.what, info.value.count, built) == ("box-class table", count, [])
+
     @pytest.mark.parametrize("k,d", [(2, 1), (2, 8), (2, 13), (3, 3), (5, 2)])
     def test_guard_counts_the_built_table(self, k, d):
         # the larger stage decides: the table at low d and fine k, the span volumes at (2, 13)
         table = feasible_class_table(k, d)
-        built = (table.anchors, table.spans, table.corners, table.minimal_corners)
+        built = (table.anchors, table.spans, table.minimal_corners)
         entries = sum(array.size for array in built)
         assert entries == sum(table_entries(k, d))
         need = max((2**k - 1) ** d, entries)
@@ -366,7 +377,9 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             spans[0, 0] = 3
         with pytest.raises(ValueError):
-            table.corners[0, 0] = 3
+            table.minimal_rows[0] = 3
+        with pytest.raises(ValueError):
+            table.minimal_corners[0, 0] = 3
 
     @pytest.mark.parametrize("k,d", [(2, 1), (2, 2), (3, 2)])
     def test_volume_sandwich_on_members(self, k, d):
@@ -399,10 +412,10 @@ class TestMinimalCores:
         assert np.array_equal(cores_inside(k, lo, hi, lo, hi) == 1, keep)
         inside = cores_inside(k, lo, hi, lo[keep], hi[keep])
         assert (inside >= 1).all() and (inside[keep] == 1).all()
-        assert np.array_equal(table.minimal_corners, table.corners[keep])
+        assert np.array_equal(table.minimal_rows, np.flatnonzero(keep))
+        corners = partition._corner_matrix(k, table.anchors, table.spans)
+        assert np.array_equal(table.minimal_corners, corners[keep])
         assert table.minimal_corners.flags.f_contiguous
-        with pytest.raises(ValueError):
-            table.minimal_corners[0, 0] = 0
 
     @pytest.mark.parametrize(
         "k,d,classes,minimal",
@@ -414,9 +427,6 @@ class TestMinimalCores:
 
 
 class TestCounts:
-    def test_anchor_count_example(self):
-        assert anchor_count((1,), 2) == 3
-
     def test_anchor_formula_vs_exact(self):
         # d = 1: the accounting is exact; d = 2: it overcounts volume-infeasible spans
         assert anchor_formula_count(2, 1) == 6
