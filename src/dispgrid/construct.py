@@ -24,11 +24,11 @@ another grid rounded onto this one, a fail implies nothing about the true
 dispersion. One kernel counts the points in every core box by
 inclusion-exclusion over the corners of a prefix-sum occupancy table on the
 grid numerators 1 .. 2^k - 1, for one point set or for a chunk of Monte
-Carlo trials at once, reading each class's corners off the corner matrix of
-its feasible-class table. It reads only the inclusion-minimal cores, which
-every other core contains: they decide pass or fail, and a set's first
+Carlo trials at once, off the corner matrix of the feasible-class table. It
+reads only the inclusion-minimal cores, the only classes that table expands,
+which every other core contains: they decide pass or fail, and a set's first
 empty core in table order is one of them, so one scan also names the
-witness.
+witness, decoded from its table row.
 """
 
 import itertools
@@ -283,12 +283,12 @@ def _prefix_sums(table: np.ndarray, g: int, d: int) -> None:
 
 
 def _first_miss(numerators: np.ndarray, k: int, table: ClassTable) -> int:
-    """Table row of the first core an (n, d) numerator set misses, or len(table.anchors) if none.
+    """Table row of the first core an (n, d) numerator set misses, or table.count if none.
 
     That core is the first missed core of minimal spans (see ClassTable).
     """
     i = _first_misses(numerators[None], k, table.minimal_corners)[0]
-    return int(table.minimal_rows[i]) if i < len(table.minimal_rows) else len(table.anchors)
+    return int(table.minimal_rows[i]) if i < len(table.minimal_rows) else table.count
 
 
 def certify_dispersion(points: PointSet, k, *, limit: int | None = None) -> CertificateResult:
@@ -320,10 +320,9 @@ def certify_dispersion(points: PointSet, k, *, limit: int | None = None) -> Cert
 
 def _certificate(table: ClassTable, i: int) -> CertificateResult:
     """The certificate of a set whose first empty core is at table row i, or past the last row."""
-    if i == len(table.anchors):
+    if i == table.count:
         return CertificateResult(passed=True, classes_checked=i, witness=None)
-    witness = BoxClass(table.k, tuple(table.anchors[i].tolist()), tuple(table.spans[i].tolist()))
-    return CertificateResult(passed=False, classes_checked=i + 1, witness=witness)
+    return CertificateResult(passed=False, classes_checked=i + 1, witness=table.row(i))
 
 
 def generate_certified(
@@ -346,7 +345,7 @@ def generate_certified(
     for attempt in range(max_attempts):
         numerators = _draw(_generator(seed, attempt), kk, d, n)
         i = _first_miss(numerators, kk, table)
-        if i == len(table.anchors):
+        if i == table.count:
             return GeneratedSet(PointSet.from_numerators(kk, d, numerators), attempt + 1)
         reached = max(reached, i)
     best = _certificate(table, reached)

@@ -17,12 +17,12 @@ Within a class's anchor range, anchor <= 2^k - span, the room left of 1 is
 never the binding cap on a side (2^k - anchor + 1 >= span + 1), so
 feasibility depends on the span vector alone: every span is at least 1 and
 prod(span + 1) > 2^(k(d-1)), read off one volume numerator per span vector.
-The feasible classes of one (k, d) are then built span by span, each feasible
-span contributing its whole anchor block, into one cached read-only table.
-Lowering one span by one at the same anchor shrinks the core, so every core
-contains the core of a class with minimal spans, none of which can be lowered
-by one and stay feasible; the table reads only those cores, as they decide
-whether a point set hits every core and name the first core it misses.
+The feasible classes of one (k, d) form one cached read-only table of the
+feasible span vectors and the first row of each one's anchors. Lowering one
+span by one at the same anchor shrinks the core, so every core contains the
+core of a class with minimal spans, none of which can be lowered by one and
+stay feasible; the table expands only those classes, as they decide whether
+a point set hits every core and name the first core it misses.
 """
 
 import functools
@@ -177,52 +177,72 @@ def classify_box(box: Box, k) -> BoxClass:
 
 @dataclass(frozen=True, eq=False)
 class ClassTable:
-    """Every feasible class of one (k, d), as read-only (count, d) anchor and span arrays.
+    """Every feasible class of one (k, d): the feasible span vectors and the first row of each one's anchors.
 
-    Rows run over the feasible spans in lexicographic order, each span's
-    anchors in lexicographic order. A set's witness, the first class in this
-    order whose core it misses, has minimal spans. Take that class (s, a) and
-    lower its spans by one at a time while it stays feasible: the anchor a
+    Rows run over the (vectors, d) ``span_vectors`` in lexicographic order,
+    vector j's anchors in lexicographic order from row ``starts[j]``, and
+    ``starts`` ends with the class count. A set's witness, the first class in
+    this order whose core it misses, has minimal spans. Take that class (s, a)
+    and lower its spans by one at a time while it stays feasible: the anchor a
     stays valid and the core only shrinks, so this ends at a class (s', a) of
     minimal spans whose core the set misses too. As s' <= s on every axis,
     (s', a) comes no later in table order, so s' = s. The first missed class
-    of minimal spans, at its table row, is therefore the witness, and
-    ``minimal_corners`` reads only the cores of those classes.
+    of minimal spans, at its table row, is therefore the witness. Only those
+    classes are expanded, into their ``minimal_rows``, ascending, and their
+    ``minimal_corners`` (see _corner_matrix). Every array is read-only.
     """
 
     k: int
-    anchors: np.ndarray
-    spans: np.ndarray
+    span_vectors: np.ndarray
+    starts: np.ndarray
+    minimal_rows: np.ndarray
+    minimal_corners: np.ndarray
 
-    @functools.cached_property
-    def minimal_rows(self) -> np.ndarray:
-        """Table rows, ascending, of the classes whose spans are minimal, built on first use."""
-        rows = np.flatnonzero(_minimal_spans(self.k, self.spans))
-        rows.flags.writeable = False
-        return rows
+    @property
+    def count(self) -> int:
+        """The number of feasible classes."""
+        return int(self.starts[-1])
 
-    @functools.cached_property
-    def minimal_corners(self) -> np.ndarray:
-        """Cells of the certificate kernel's table that sum to each minimal class's core count.
+    def block(self, j: int) -> np.ndarray:
+        """The anchors of span vector j's classes, in table order, as a (classes, d) array."""
+        return _expand(self.k, self.span_vectors[j : j + 1])[2]
 
-        Built on first use, as a read-only (len(minimal_rows), 2^L) matrix of
-        cell indices into the row-major cumulative table over the numerators
-        1 .. 2^k - 1 per axis, whose (2^k - 1)^d cells are followed by one zero
-        cell. L is the largest number of axes with anchor > 1 in any class,
-        which a class of minimal spans attains: lowering spans at the same
-        anchor reaches one. Column t starts at the core's top
-        cell, anchor + span - 1 on every axis, and steps to the cell below the
-        core, anchor - 1, on the class's anchor>1 axes picked by the set bits
-        of t; it enters the count with sign (-1)^popcount(t). A corner below
-        anchor 1 lies outside the table and counts zero, so it has no column.
-        Columns past a class's own 2^l corners read the zero cell.
-        """
-        rows = self.minimal_rows
-        return _corner_matrix(self.k, self.anchors[rows], self.spans[rows])
+    def row(self, i: int) -> BoxClass:
+        """The class at table row i, its anchor decoded from the row's offset in its span vector's block."""
+        j = int(np.searchsorted(self.starts, i, side="right")) - 1
+        span = self.span_vectors[j].tolist()
+        anchor = np.unravel_index(i - int(self.starts[j]), [2**self.k - s for s in span])
+        return BoxClass(self.k, tuple(int(a) + 1 for a in anchor), tuple(span))
+
+
+def _expand(k: int, spans: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The anchor blocks of span vectors, in order: each row's vector, its offset in the block, and its anchor."""
+    radix = 2**k - spans  # anchors 1 .. 2^k - span per axis, decoded last axis fastest
+    block = np.prod(radix, axis=1)
+    owner = np.repeat(np.arange(len(spans)), block)
+    offsets = np.arange(len(owner)) - np.repeat(np.cumsum(block) - block, block)
+    anchors = np.empty((len(owner), spans.shape[1]), dtype=spans.dtype)
+    rest = offsets.copy()
+    for axis in reversed(range(spans.shape[1])):
+        base = radix[owner, axis]
+        anchors[:, axis] = rest % base + 1
+        rest //= base
+    return owner, offsets, anchors
 
 
 def _corner_matrix(k: int, anchors: np.ndarray, spans: np.ndarray) -> np.ndarray:
-    """The corner matrix of the classes in rows of anchors and spans (see ClassTable.minimal_corners)."""
+    """Cells of the certificate kernel's table that sum to each class's core count, for rows of anchors and spans.
+
+    A read-only (classes, 2^L) matrix of cell indices into the row-major
+    cumulative table over the numerators 1 .. 2^k - 1 per axis, whose
+    (2^k - 1)^d cells are followed by one zero cell. L is the largest number
+    of axes with anchor > 1 in any class. Column t starts at the core's top
+    cell, anchor + span - 1 on every axis, and steps to the cell below the
+    core, anchor - 1, on the class's anchor>1 axes picked by the set bits of
+    t; it enters the count with sign (-1)^popcount(t). A corner below anchor 1
+    lies outside the table and counts zero, so it has no column. Columns past
+    a class's own 2^l corners read the zero cell.
+    """
     d = anchors.shape[1]
     g = 2**k - 1
     strides = g ** np.arange(d - 1, -1, -1)
@@ -244,85 +264,64 @@ def _corner_matrix(k: int, anchors: np.ndarray, spans: np.ndarray) -> np.ndarray
     return corners.T
 
 
-def _minimal_spans(k: int, spans: np.ndarray) -> np.ndarray:
-    """Which rows of a feasible span array turn infeasible with any one span lowered by one."""
-    volume = np.prod(spans + 1, axis=1)
-    minimal = np.ones(len(spans), dtype=bool)
-    # one axis at a time, to hold no temporaries the size of the span array
-    for span in spans.T:
-        minimal &= (span == 1) | (volume // (span + 1) * span <= 2 ** (k * (spans.shape[1] - 1)))
-    return minimal
-
-
 def feasible_class_table(k, d: int, *, limit: int | None = None) -> ClassTable:
     """The cached table of every feasible class at resolution k in dimension d.
 
     The guard counts what is built, on every call: the (2^k - 1)^d volume
     numerators of the span vectors before any exists, a count that also bounds
-    the certificate kernel's largest array per trial, its (2^k - 1)^d cells
-    plus one zero cell; then, with the feasible spans built, the classes times
-    their 2d anchor and span entries, before the minimal spans are sought;
-    last, that count plus the classes of minimal spans times the 2^L columns
-    of their corner matrix, before the anchors are expanded. Both table counts
-    are cached.
+    the certificate kernel's occupancy table per trial; then the classes of
+    minimal spans times their 2d anchor and span entries and the 2^L columns
+    of their corner matrix, before any other span vector is decoded.
     """
     kk = require_k(k)
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
     check_enumeration("span grid", (2**kk - 1) ** d, limit)
-    entries = _feasible_spans(kk, d)[1]
-    check_enumeration("box-class table", entries, limit)
-    check_enumeration("box-class table", entries + _minimal_entries(kk, d), limit)
+    check_enumeration("box-class table", _feasible_spans(kk, d)[2], limit)
     return _class_table(kk, d)
 
 
 @functools.lru_cache(maxsize=8)
-def _feasible_spans(k: int, d: int) -> tuple[np.ndarray, int]:
-    """The feasible span vectors in lexicographic order, and their classes' 2d anchor and span entries."""
-    m = 2**k
-    # prod(span + 1) per span vector, row-major and so lexicographic; fits in int64 if in memory
-    feasible = functools.reduce(np.multiply.outer, [np.arange(2, m + 1)] * d) > m ** (d - 1)
-    spans = np.stack(np.unravel_index(np.flatnonzero(feasible), feasible.shape), 1) + 1
-    classes = int(np.prod(m - spans, axis=1).sum())
-    return spans, classes * 2 * d
+def _feasible_spans(k: int, d: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The boolean feasibility grid of the span vectors, which feasible ones are minimal, and the table's entries.
 
-
-@functools.lru_cache(maxsize=8)
-def _minimal_entries(k: int, d: int) -> int:
-    """The entries of the minimal corner matrix: the classes of minimal spans times 2^L.
-
-    A span below 2^k - 1 admits anchors above 1, so L is the most such spans
-    in one minimal span vector.
+    A feasible vector is minimal when no vector one below it on one axis is
+    feasible. The entries are its classes times 2d + 2^L, where L is the most
+    spans below 2^k - 1, which admit anchors above 1, in one minimal vector.
     """
-    spans = _feasible_spans(k, d)[0]
-    minimal = spans[_minimal_spans(k, spans)]
-    columns = 2 ** int((minimal < 2**k - 1).sum(axis=1).max())
-    return int(np.prod(2**k - minimal, axis=1).sum()) * columns
+    m = 2**k
+    # prod(span + 1) per span vector; fits in int64 if in memory
+    feasible = functools.reduce(np.multiply.outer, [np.arange(2, m + 1)] * d) > m ** (d - 1)
+    minimal = feasible.copy()
+    for axis in range(d):
+        # above & ~below, as a comparison of booleans that holds no temporary grid
+        above = np.moveaxis(minimal, axis, 0)[1:]
+        np.greater(above, np.moveaxis(feasible, axis, 0)[:-1], out=above)
+    # np.argwhere is several times slower on a grid of many axes
+    spans = np.stack(np.unravel_index(np.flatnonzero(minimal), minimal.shape), 1) + 1
+    columns = 2 ** int((spans < m - 1).sum(axis=1).max())
+    return feasible, minimal[feasible], int(np.prod(m - spans, axis=1).sum()) * (2 * d + columns)
 
 
 @functools.lru_cache(maxsize=8)
 def _class_table(k: int, d: int) -> ClassTable:
-    spans = _feasible_spans(k, d)[0]
-    radix = 2**k - spans  # anchors 1 .. 2^k - span per axis
-    block = np.prod(radix, axis=1)
-    owner = np.repeat(np.arange(len(spans)), block)
-    offset = np.arange(len(owner)) - np.repeat(np.cumsum(block) - block, block)
-    anchors = np.empty((len(owner), d), dtype=spans.dtype)
-    for axis in reversed(range(d)):
-        base = radix[owner, axis]
-        anchors[:, axis] = offset % base + 1
-        offset //= base
-    spans = spans[owner]
-    anchors.flags.writeable = False
-    spans.flags.writeable = False
-    return ClassTable(k, anchors, spans)
+    feasible, minimal, _ = _feasible_spans(k, d)
+    spans = np.stack(np.unravel_index(np.flatnonzero(feasible), feasible.shape), 1) + 1
+    starts = np.concatenate(([0], np.cumsum(np.prod(2**k - spans, axis=1))))
+    owner, offsets, anchors = _expand(k, spans[minimal])
+    rows = starts[:-1][minimal][owner] + offsets
+    corners = _corner_matrix(k, anchors, spans[minimal][owner])
+    for array in (spans, starts, rows):
+        array.flags.writeable = False
+    return ClassTable(k, spans, starts, rows, corners)
 
 
 def enumerate_feasible_classes(k, d: int, *, limit: int | None = None) -> Iterator[BoxClass]:
-    """All feasible classes at resolution k in dimension d, in table order."""
+    """All feasible classes at resolution k in dimension d, in table order, one anchor block at a time."""
     table = feasible_class_table(k, d, limit=limit)
-    for anchor, span in zip(table.anchors.tolist(), table.spans.tolist()):
-        yield BoxClass(k=table.k, anchor=tuple(anchor), span=tuple(span))
+    for j, span in enumerate(table.span_vectors.tolist()):
+        for anchor in table.block(j).tolist():
+            yield BoxClass(k=table.k, anchor=tuple(anchor), span=tuple(span))
 
 
 def anchor_formula_count(k, d: int) -> int:
@@ -368,7 +367,7 @@ class CountAudit:
 
 
 def count_audit(k, d: int, *, limit: int | None = None) -> CountAudit:
-    exact = len(feasible_class_table(k, d, limit=limit).anchors)
+    exact = feasible_class_table(k, d, limit=limit).count
     return CountAudit(
         k=require_k(k),
         d=d,

@@ -74,8 +74,8 @@ class HitProbabilityAudit:
 def audit_hit_probabilities(k, d: int, *, limit: int | None = None) -> HitProbabilityAudit:
     """Verify the hit-probability bounds over every feasible class.
 
-    Works on the rows of ``feasible_class_table``, which are feasible by
-    construction, so a class's attainable maximum volume is
+    Works on the span vectors of ``feasible_class_table``, which are feasible
+    by construction, so a class's attainable maximum volume is
     V = prod(span + 1) / 2^(kd) and its hit probability prod(span) / (2^k - 1)^d.
     Checks three claims per class: the exact hit probability exceeds
     2^-(k+4) (an integer comparison); it dominates the intermediate chain
@@ -90,7 +90,7 @@ def audit_hit_probabilities(k, d: int, *, limit: int | None = None) -> HitProbab
     exponent = kk / (kk - 1)
 
     table = feasible_class_table(kk, d, limit=limit)
-    anchors, spans = table.anchors, table.spans
+    spans = table.span_vectors
     g = 2**kk - 1
     hits = np.prod(spans, axis=1)
     hit_prob = hits / g**d
@@ -104,16 +104,18 @@ def audit_hit_probabilities(k, d: int, *, limit: int | None = None) -> HitProbab
         "miss probability bound": ~(1.0 - hit_prob < miss_bound),
     }
     violations = []
-    for i in np.flatnonzero(np.any(list(failed.values()), axis=0)).tolist():
-        cls = BoxClass(kk, tuple(anchors[i].tolist()), tuple(spans[i].tolist()))
-        violations.extend((cls, reason) for reason, rows in failed.items() if rows[i])
-    i = int(np.argmin(hits))
+    for j in np.flatnonzero(np.any(list(failed.values()), axis=0)).tolist():
+        for anchor in table.block(j).tolist():
+            cls = BoxClass(kk, tuple(anchor), tuple(spans[j].tolist()))
+            violations.extend((cls, reason) for reason, vectors in failed.items() if vectors[j])
+    # the first class of least hit probability leads the block of the first such span vector
+    j = int(np.argmin(hits))
     return HitProbabilityAudit(
         k=kk,
         d=d,
-        classes_checked=len(hits),
-        min_hit_probability=Fraction(int(hits[i]), g**d),
-        argmin_class=BoxClass(kk, tuple(anchors[i].tolist()), tuple(spans[i].tolist())),
+        classes_checked=table.count,
+        min_hit_probability=Fraction(int(hits[j]), g**d),
+        argmin_class=table.row(int(table.starts[j])),
         lower_bound=bound,
         passed=not violations,
         violations=tuple(violations),

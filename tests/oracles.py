@@ -8,13 +8,15 @@ per-outcome empty-box search for exact failure probabilities, grid
 enumeration for hit probabilities, a per-class loop over rebuilt classes
 for the hit-probability audit, classification of a fine mesh of boxes
 and a per-class feasibility walk for the feasible class set, a filter of
-the whole span grid for the feasible and the minimal span vectors, a
+the whole span grid for the feasible and the minimal span vectors, the
+former table build that expands every class's anchors and spans, a
 table of the cores inside every core for the inclusion-minimal cores, a
 per-class core-box scan for the certificate, the former certificate kernel that reads
 all 2^d corners of every core off a 2^k-per-axis table for its first-miss
 positions, and one certificate per trial for Monte Carlo success counts.
 """
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -368,13 +370,13 @@ def reference_feasible_classes(k: int, d: int):
                 yield cls
 
 
-def reference_feasible_spans(k: int, d: int) -> tuple[np.ndarray, int]:
-    """The feasible span vectors, filtered from the whole grid of span vectors, and table entries.
+def reference_feasible_spans(k: int, d: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The feasible span vectors, filtered from the whole grid of span vectors, which are minimal, and table entries.
 
-    The grid holds d (2^k - 1)^d int64 entries. The table entries are the
-    classes times their 2d anchor and span entries, and the 2^L corner
-    columns of the widest class for each class whose span vector is minimal:
-    no feasible span vector lies one below it on one axis.
+    The grid holds d (2^k - 1)^d int64 entries. A feasible span vector is
+    minimal when no feasible span vector lies one below it on one axis. The
+    table entries are, for each class whose span vector is minimal, its 2d
+    anchor and span entries and the 2^L corner columns of the widest class.
     """
     m = 2**k
     spans = np.indices((m - 1,) * d).reshape(d, -1).T + 1
@@ -389,8 +391,32 @@ def reference_feasible_spans(k: int, d: int) -> tuple[np.ndarray, int]:
         minimal &= ~below[tuple((spans - step).T)]
     classes = np.prod(m - spans, axis=1)
     columns = 2 ** int((spans[feasible] < m - 1).sum(axis=1).max())
-    entries = int(classes[feasible].sum()) * 2 * d
-    return spans[feasible], entries + int(classes[minimal].sum()) * columns
+    entries = int(classes[minimal].sum()) * (2 * d + columns)
+    return spans[feasible], minimal[feasible], entries
+
+
+@functools.lru_cache(maxsize=16)
+def reference_class_table(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every feasible class in table order, as read-only per-class (count, d) anchor and span arrays.
+
+    The library's former table build: every feasible span vector's anchor
+    block expanded, anchors 1 .. 2^k - span per axis decoded by mixed radix
+    from each row's offset in its block.
+    """
+    spans = reference_feasible_spans(k, d)[0]
+    radix = 2**k - spans  # anchors 1 .. 2^k - span per axis
+    block = np.prod(radix, axis=1)
+    owner = np.repeat(np.arange(len(spans)), block)
+    offset = np.arange(len(owner)) - np.repeat(np.cumsum(block) - block, block)
+    anchors = np.empty((len(owner), d), dtype=spans.dtype)
+    for axis in reversed(range(d)):
+        base = radix[owner, axis]
+        anchors[:, axis] = offset % base + 1
+        offset //= base
+    spans = spans[owner]
+    anchors.flags.writeable = False
+    spans.flags.writeable = False
+    return anchors, spans
 
 
 def cores_inside(k: int, lo, hi, inner_lo, inner_hi) -> np.ndarray:

@@ -29,7 +29,13 @@ from dispgrid import construct, partition
 from dispgrid.guards import GuardExceeded
 from dispgrid.partition import _class_table, _feasible_spans, feasible_class_table
 
-from oracles import core_contains, gray_code_first_misses, reference_certify, reference_monte_carlo
+from oracles import (
+    core_contains,
+    gray_code_first_misses,
+    reference_certify,
+    reference_class_table,
+    reference_monte_carlo,
+)
 
 
 class TestSampling:
@@ -103,6 +109,14 @@ class TestCertificate:
     def test_full_grid_always_certifies(self, k, d):
         assert certify_dispersion(full_grid(k, d), k).passed
 
+    @pytest.mark.parametrize(
+        "k,d,classes", [(7, 2, 60_874_509), (8, 2, 1_012_909_708), (14, 1, 134_209_536)]
+    )
+    def test_full_grid_certifies_at_fine_k(self, k, d, classes):
+        # the default guard admits these, as only the minimal classes are expanded
+        cert = certify_dispersion(full_grid(k, d), k)
+        assert (cert.passed, cert.classes_checked) == (True, classes)
+
     def test_single_point_fails(self):
         cert = certify_dispersion(PointSet.from_numerators(2, 2, [(1, 1)]), 2)
         assert not cert.passed
@@ -160,9 +174,9 @@ class TestCertificate:
         # block, the last one included; each trial of one chunk is checked
         # against a scan in that order
         monkeypatch.setattr(construct, "BLOCK_CLASSES", 50)
-        table = feasible_class_table(3, 2)
-        order = np.random.default_rng(3).permutation(len(table.anchors))
-        anchors, spans = table.anchors[order], table.spans[order]
+        anchors, spans = reference_class_table(3, 2)
+        order = np.random.default_rng(3).permutation(len(anchors))
+        anchors, spans = anchors[order], spans[order]
         last_block = (len(anchors) - 1) // 50
         rng = np.random.default_rng(4)
         numerators = rng.integers(1, 8, size=(200, 60, 2))
@@ -221,12 +235,13 @@ class TestCertificate:
         cases = [(2, 4, 40), (2, 7, 80), (3, 2, 120), (3, 3, 600), (4, 2, 500), (5, 2, 4000)]
         for k, d, n_max in cases:
             table = feasible_class_table(k, d)
+            anchors, spans = reference_class_table(k, d)
             for _ in range(12):
                 n, seed = int(rng.integers(1, n_max)), int(rng.integers(2**32))
                 pts = sample_grid_points(k, d, n, seed)
-                i = int(gray_code_first_misses(pts.points[None], k, table.anchors, table.spans)[0])
+                i = int(gray_code_first_misses(pts.points[None], k, anchors, spans)[0])
                 assert certify_dispersion(pts, k) == construct._certificate(table, i)
-                outcomes[i == len(table.anchors)] += 1
+                outcomes[i == len(anchors)] += 1
         assert outcomes[True] > 0 and outcomes[False] > 0
 
     @pytest.mark.parametrize(
@@ -237,7 +252,8 @@ class TestCertificate:
         # the first empty core in table order cannot shrink to an earlier one,
         # so a failing set's witness has no feasible span vector one below it
         table = feasible_class_table(k, d)
-        feasible = set(map(tuple, table.spans.tolist()))
+        anchors, spans = reference_class_table(k, d)
+        feasible = set(map(tuple, spans.tolist()))
         rng = np.random.default_rng(10 * k + d)
         rows = set()
         for _ in range(40):
@@ -248,7 +264,7 @@ class TestCertificate:
                 continue
             span = cert.witness.span
             assert not any(span[:i] + (span[i] - 1,) + span[i + 1 :] in feasible for i in range(d))
-            i = int(gray_code_first_misses(pts.points[None], k, table.anchors, table.spans)[0])
+            i = int(gray_code_first_misses(pts.points[None], k, anchors, spans)[0])
             assert cert == construct._certificate(table, i)
             rows.add(i)
         assert len(rows) >= 10
@@ -292,7 +308,7 @@ def _thinned_grid_chunk(rng, k: int, d: int, trials: int) -> np.ndarray:
 
 
 class TestCertificateKernel:
-    # the default guard refuses (5, 3)
+    # (5, 3) has 56,888,515 classes, too many for the Gray-code kernel over every class
     CASES = [(2, d) for d in range(1, 8)] + [
         (k, d) for k in (3, 4, 5) for d in (1, 2, 3) if k < 5 or d < 3
     ]
@@ -308,7 +324,7 @@ class TestCertificateKernel:
         outcomes = Counter()
         for k, d in self.CASES:
             table = feasible_class_table(k, d)
-            anchors, spans = table.anchors, table.spans
+            anchors, spans = reference_class_table(k, d)
             if len(anchors) > 1000 * block:
                 continue
             cells = (2**k - 1) ** d
@@ -327,6 +343,15 @@ class TestCertificateKernel:
                 outcomes.update((want == len(anchors)).tolist())
         assert outcomes[True] > 0 and outcomes[False] > 0
         assert spread >= 3
+
+    @pytest.mark.parametrize("k,d", CASES)
+    def test_rows_decode_the_reference_table(self, k, d):
+        table = feasible_class_table(k, d)
+        anchors, spans = reference_class_table(k, d)
+        assert int(table.starts[-1]) == table.count == len(anchors)
+        rows = [table.row(i) for i in range(table.count)]
+        assert [row.anchor for row in rows] == list(map(tuple, anchors.tolist()))
+        assert [row.span for row in rows] == list(map(tuple, spans.tolist()))
 
     def test_agrees_with_reference_scan_up_to_d7(self):
         rng = random.Random(7)
@@ -379,7 +404,7 @@ class TestCertificateKernel:
         # at (2, 7) no class has more than 4 anchors above 1, so 16 columns
         # replace the 128 corners of a 7-dimensional core
         table = feasible_class_table(2, 7)
-        anchors, spans = table.anchors, table.spans
+        anchors, spans = reference_class_table(2, 7)
         corners = partition._corner_matrix(2, anchors, spans)
         depth = (anchors > 1).sum(axis=1)
         assert corners.shape == (len(anchors), 16) and depth.max() == 4
@@ -456,7 +481,7 @@ class TestGenerateCertified:
         table = feasible_class_table(k, d)
         reached = max(
             int(gray_code_first_misses(
-                construct._draw(construct._generator(11, i), k, d, n)[None], k, table.anchors, table.spans
+                construct._draw(construct._generator(11, i), k, d, n)[None], k, *reference_class_table(k, d)
             )[0])
             for i in range(6)
         )
@@ -502,7 +527,7 @@ class TestGenerateCertified:
         generated = generate_certified(k, d, n_required(k, d), seed=0)
         assert generated.points.n == n_required(k, d)
         cert = certify_dispersion(generated.points, k)
-        assert cert.passed and cert.classes_checked == len(feasible_class_table(k, d).anchors)
+        assert cert.passed and cert.classes_checked == feasible_class_table(k, d).count
 
 
 def _spy_table_and_draw(monkeypatch) -> list:
@@ -608,7 +633,7 @@ class TestMonteCarlo:
         self, monkeypatch, k, d, n, chunk_elements, outcome
     ):
         monkeypatch.setattr(construct, "CHUNK_ELEMENTS", chunk_elements)
-        classes = len(feasible_class_table(k, d).anchors)
+        classes = feasible_class_table(k, d).count
         chunk = construct._trials_per_chunk(k, d, n, classes)
         counts = sorted({1, max(chunk - 1, 1), chunk, chunk + 1, 3 * chunk + 2})
         passes = reference_monte_carlo(k, d, n, counts[-1], master_seed=77)

@@ -30,19 +30,19 @@ from oracles import (
     core_contains,
     core_grid_points,
     cores_inside,
+    reference_class_table,
     reference_feasible_classes,
     reference_feasible_spans,
 )
 
 
 def table_entries(k, d):
-    """Entries of the feasible-class table, span by span: anchors and spans, then minimal corners."""
+    """Entries built for the feasible-class table, span by span: the minimal classes' anchors, spans and corners."""
     m = 2**k
     spans = [
         span for span in itertools.product(range(1, m), repeat=d)
         if math.prod(s + 1 for s in span) > m ** (d - 1)
     ]
-    classes = sum(math.prod(m - s for s in span) for span in spans)
     # a span below 2^k - 1 admits an anchor above 1, whose corner below the core is a column
     columns = 2 ** max(sum(s < m - 1 for s in span) for span in spans)
     feasible = set(spans)
@@ -51,7 +51,7 @@ def table_entries(k, d):
         for span in spans
         if not any(span[:i] + (span[i] - 1,) + span[i + 1 :] in feasible for i in range(d))
     )
-    return classes * 2 * d, minimal * columns
+    return minimal * (2 * d + columns)
 
 
 def random_large_box(rng, k, d):
@@ -275,18 +275,16 @@ class TestEnumeration:
         "k,d,what,count",
         [
             (2, 17, "span grid", 129_140_163),
-            (7, 2, "box-class table", 243_498_036),
-            (14, 1, "box-class table", 268_419_072),
+            (10, 2, "box-class table", 461_319_872),
+            (3, 7, "box-class table", 722_180_192),
         ],
     )
     def test_default_guard_refuses_with_exact_counts(self, monkeypatch, k, d, what, count):
-        # each stage counts before it builds: the span volumes, then the minimal
-        # spans and the expanded anchors
+        # each stage counts before it builds: the span volumes, then the
+        # minimal classes, before any other span vector is decoded
         partition._feasible_spans.cache_clear()
-        partition._minimal_entries.cache_clear()
         built = []
-        steps = [("_feasible_spans", "spans"), ("_minimal_spans", "minimal"), ("_class_table", "table")]
-        for name, step in steps:
+        for name, step in [("_feasible_spans", "grid"), ("_class_table", "table")]:
             original = getattr(partition, name)
             monkeypatch.setattr(
                 partition, name, lambda *args, f=original, s=step: built.append(s) or f(*args)
@@ -294,30 +292,29 @@ class TestEnumeration:
         with pytest.raises(GuardExceeded) as info:
             feasible_class_table(k, d)
         assert (info.value.what, info.value.count) == (what, count)
-        assert built == ([] if what == "span grid" else ["spans"])
+        assert built == ([] if what == "span grid" else ["grid"])
         if what == "box-class table":
-            assert count == table_entries(k, d)[0]
+            assert count == reference_feasible_spans(k, d)[2]
 
-    @pytest.mark.parametrize("k,d,count", [(13, 1, 67_117_054), (3, 6, 96_784_932)])
+    @pytest.mark.parametrize("k,d,count", [(9, 2, 77_034_304), (3, 6, 76_106_856)])
     def test_default_guard_admits_with_exact_counts(self, monkeypatch, k, d, count):
         # admitted by the default limit, pinned one below their count so that no table is built
         partition._feasible_spans.cache_clear()
-        partition._minimal_entries.cache_clear()
         built = []
         table = partition._class_table
         monkeypatch.setattr(partition, "_class_table", lambda *args: built.append(args) or table(*args))
-        assert sum(table_entries(k, d)) == count <= DEFAULT_ENUMERATION_LIMIT
+        assert table_entries(k, d) == count <= DEFAULT_ENUMERATION_LIMIT
         with pytest.raises(GuardExceeded) as info:
             feasible_class_table(k, d, limit=count - 1)
         assert (info.value.what, info.value.count, built) == ("box-class table", count, [])
 
     @pytest.mark.parametrize("k,d", [(2, 1), (2, 8), (2, 13), (3, 3), (5, 2)])
     def test_guard_counts_the_built_table(self, k, d):
-        # the larger stage decides: the table at low d and fine k, the span volumes at (2, 13)
+        # the minimal classes' anchors and spans, expanded to build their
+        # corner matrix; the larger stage decides, the span volumes at (2, 13)
         table = feasible_class_table(k, d)
-        built = (table.anchors, table.spans, table.minimal_corners)
-        entries = sum(array.size for array in built)
-        assert entries == sum(table_entries(k, d))
+        entries = len(table.minimal_rows) * 2 * d + table.minimal_corners.size
+        assert entries == table_entries(k, d)
         need = max((2**k - 1) ** d, entries)
         assert feasible_class_table(k, d, limit=need) is table
         with pytest.raises(GuardExceeded) as info:
@@ -325,23 +322,20 @@ class TestEnumeration:
         assert info.value.count == need
 
     @pytest.mark.parametrize("k,d", [(2, 8), (3, 3), (5, 2)])
-    def test_table_refusal_seeks_no_minimal_spans(self, monkeypatch, k, d):
-        # the class count refuses before the minimal spans are sought; their count then decides
+    def test_table_refusal_builds_no_table(self, monkeypatch, k, d):
+        # the minimal classes' count refuses before the table is built, and admits it at that count
         partition._feasible_spans.cache_clear()
-        partition._minimal_entries.cache_clear()
-        sought = []
-        minimal_spans = partition._minimal_spans
-        monkeypatch.setattr(
-            partition, "_minimal_spans", lambda *args: sought.append(args) or minimal_spans(*args)
-        )
-        classes, minimal = table_entries(k, d)
-        assert classes > (2**k - 1) ** d
+        partition._class_table.cache_clear()
+        built = []
+        table = partition._class_table
+        monkeypatch.setattr(partition, "_class_table", lambda *args: built.append(args) or table(*args))
+        entries = table_entries(k, d)
+        assert entries > (2**k - 1) ** d
         with pytest.raises(GuardExceeded) as info:
-            feasible_class_table(k, d, limit=classes - 1)
-        assert (info.value.what, info.value.count, sought) == ("box-class table", classes, [])
-        with pytest.raises(GuardExceeded) as info:
-            feasible_class_table(k, d, limit=classes + minimal - 1)
-        assert (info.value.what, info.value.count, len(sought)) == ("box-class table", classes + minimal, 1)
+            feasible_class_table(k, d, limit=entries - 1)
+        assert (info.value.what, info.value.count, built) == ("box-class table", entries, [])
+        assert feasible_class_table(k, d, limit=entries).count == len(reference_class_table(k, d)[0])
+        assert built == [(k, d)]
 
     @pytest.mark.parametrize(
         "k,d",
@@ -350,11 +344,13 @@ class TestEnumeration:
         + [(4, 1), (4, 2), (4, 3), (5, 2), (7, 2), (12, 1)],
     )
     def test_feasible_spans_match_the_span_grid_filter(self, k, d):
-        spans, entries = partition._feasible_spans(k, d)
-        want, want_entries = reference_feasible_spans(k, d)
-        assert spans.dtype == want.dtype
-        assert np.array_equal(spans, want)
-        assert entries + partition._minimal_entries(k, d) == want_entries
+        grid, minimal, entries = partition._feasible_spans(k, d)
+        spans, want_minimal, want_entries = reference_feasible_spans(k, d)
+        table_spans = feasible_class_table(k, d).span_vectors
+        assert grid.shape == (2**k - 1,) * d and table_spans.dtype == spans.dtype
+        assert np.array_equal(table_spans, spans) and np.array_equal(np.argwhere(grid) + 1, spans)
+        assert np.array_equal(minimal, want_minimal)
+        assert entries == want_entries
 
     def test_table_build_holds_no_span_grid(self):
         # the (3^11, 11) span grid alone is 15.6 MB of int64
@@ -370,16 +366,10 @@ class TestEnumeration:
 
     def test_cached_table_is_read_only(self):
         table = feasible_class_table(2, 2)
-        anchors, spans = table.anchors, table.spans
         assert feasible_class_table(2, 2) is table
-        with pytest.raises(ValueError):
-            anchors[0, 0] = 3
-        with pytest.raises(ValueError):
-            spans[0, 0] = 3
-        with pytest.raises(ValueError):
-            table.minimal_rows[0] = 3
-        with pytest.raises(ValueError):
-            table.minimal_corners[0, 0] = 3
+        for array in (table.span_vectors, table.starts, table.minimal_rows, table.minimal_corners):
+            with pytest.raises(ValueError):
+                array[0] = 3
 
     @pytest.mark.parametrize("k,d", [(2, 1), (2, 2), (3, 2)])
     def test_volume_sandwich_on_members(self, k, d):
@@ -400,20 +390,21 @@ class TestMinimalCores:
     def test_minimal_corners_read_the_inclusion_minimal_cores(self, k, d):
         # the classes whose span cannot drop by one on any axis and stay feasible
         table = feasible_class_table(k, d)
-        feasible = set(map(tuple, table.spans.tolist()))
+        anchors, spans = reference_class_table(k, d)
+        feasible = set(map(tuple, spans.tolist()))
         minimal = {
             span: not any(span[:i] + (span[i] - 1,) + span[i + 1 :] in feasible for i in range(d))
             for span in feasible
         }
-        keep = np.array([minimal[span] for span in map(tuple, table.spans.tolist())])
-        lo, hi = table.anchors, table.anchors + table.spans - 1
+        keep = np.array([minimal[span] for span in map(tuple, spans.tolist())])
+        lo, hi = anchors, anchors + spans - 1
         # they hold no other feasible core, every feasible core holds one of them,
         # and no one of them holds another
         assert np.array_equal(cores_inside(k, lo, hi, lo, hi) == 1, keep)
         inside = cores_inside(k, lo, hi, lo[keep], hi[keep])
         assert (inside >= 1).all() and (inside[keep] == 1).all()
         assert np.array_equal(table.minimal_rows, np.flatnonzero(keep))
-        corners = partition._corner_matrix(k, table.anchors, table.spans)
+        corners = partition._corner_matrix(k, anchors, spans)
         assert np.array_equal(table.minimal_corners, corners[keep])
         assert table.minimal_corners.flags.f_contiguous
 
@@ -423,7 +414,7 @@ class TestMinimalCores:
     )
     def test_minimal_counts(self, k, d, classes, minimal):
         table = feasible_class_table(k, d)
-        assert (len(table.anchors), len(table.minimal_corners)) == (classes, minimal)
+        assert (table.count, len(table.minimal_corners)) == (classes, minimal)
 
 
 class TestCounts:
