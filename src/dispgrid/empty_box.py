@@ -35,10 +35,6 @@ Prefixes are evaluated in blocks of consecutive axis-0 pairs in
 lexicographic endpoint order, a block whose volume bound cannot beat the
 best so far is skipped, and the first maximiser is kept, so ties resolve to
 the lexicographically smallest witness.
-``batch_has_empty_box_above`` counts every candidate box for a batch of grid
-point sets at once, each on its own candidate endpoints, with the set as a
-leading axis; ``exact_failure_probability`` tests with it each support (set
-of distinct grid points) of its outcomes once.
 
 For grid-valued inputs the whole search runs on integer numerators and the
 result is exact (an arbitrary-precision integer over 2^(k*d); int64 while
@@ -56,10 +52,10 @@ import numpy as np
 from .grid import GRID_REPR, PointSet, exact_fraction
 from .guards import DEFAULT_ENUMERATION_LIMIT, check_enumeration
 
-# Boxes evaluated at once (in the single-set search, box prefixes times
-# last-axis endpoints), but never less than one axis-0 endpoint pair (or one
-# outcome): a block's counts and volumes are materialised whole, so this
-# bounds the kernel's temporary arrays and with them its peak memory.
+# Boxes evaluated at once (box prefixes times last-axis endpoints), but never
+# less than one axis-0 endpoint pair: a block's counts and volumes are
+# materialised whole, so this bounds the kernel's temporary arrays and with
+# them its peak memory.
 BLOCK_BOXES = 2**14
 
 
@@ -180,16 +176,11 @@ def _inside_counts(prefix: np.ndarray, pairs, lead: int = 0) -> np.ndarray:
     return counts
 
 
-def _box_volumes(widths, lead: int = 0) -> np.ndarray:
-    """Volume of every box in the outer product of per-axis widths, multiplied in axis order.
-
-    Each width array holds `lead` batch axes followed by one axis of widths;
-    the batch axes are shared, not multiplied out.
-    """
+def _box_volumes(widths) -> np.ndarray:
+    """Volume of every box in the outer product of per-axis widths, multiplied in axis order."""
     volumes = widths[0]
     for w in widths[1:]:
-        spread = w.shape[:lead] + (1,) * (volumes.ndim - lead) + w.shape[lead:]
-        volumes = volumes[..., None] * w.reshape(spread)
+        volumes = volumes[..., None] * w
     return volumes
 
 
@@ -370,61 +361,3 @@ def has_empty_box_above(
     _, witness = _search(points, thr, limit)
     return ThresholdWitness(witness is not None, witness)
 
-
-def batch_has_empty_box_above(
-    numerators: np.ndarray, unit: int, threshold: int, *, limit: int | None = None
-) -> np.ndarray:
-    """Per point set, whether some box with volume numerator above `threshold` is empty.
-
-    `numerators` is an integer array of shape (sets, n, d): a batch of
-    same-size grid point sets with numerators in 1 .. unit - 1, and volumes
-    are numerators over unit^d. Each set is tested on its own candidate
-    endpoints, its distinct coordinates plus {0, unit} per axis, so the
-    answer for a set is ``has_empty_box_above`` on it alone. The endpoints are
-    stored padded to one count c = min(n, unit - 1) + 2 per axis by repeating
-    `unit`, which adds only zero-width pairs and copies of genuine boxes. The
-    guard counts the C(c, 2)^d candidate boxes of one set before anything is
-    binned. The counting is the same prefix-sum kernel with the set as a
-    leading axis, in blocks of about ``BLOCK_BOXES`` boxes. Each set's
-    endpoints are binned at the offset set * (unit + 2), so a batch whose
-    offsets leave the int64 range is refused with ``ValueError``.
-    """
-    sets, n, d = numerators.shape
-    if sets * (unit + 2) > np.iinfo(np.int64).max:
-        raise ValueError(f"{sets} sets at unit {unit} overflow the int64 binning offsets")
-    c = min(n, unit - 1) + 2
-    lo, hi = _pairs(c)
-    check_enumeration("candidate boxes", len(lo) ** d, limit, DEFAULT_ENUMERATION_LIMIT)
-
-    rows = np.arange(sets)[:, None]
-    ends = np.broadcast_to(np.array([0, unit]), (sets, 2))
-    flat = np.zeros((sets, n), dtype=np.int64)
-    widths = []
-    for col in np.moveaxis(numerators, 2, 0):
-        values = np.sort(np.concatenate((col, ends), axis=1), axis=1)
-        repeats = np.zeros(values.shape, dtype=bool)
-        repeats[:, 1:] = values[:, 1:] == values[:, :-1]
-        values[repeats] = unit + 1  # sorts after every value, then is clipped back to unit
-        values = np.minimum(np.sort(values, axis=1)[:, :c], unit)
-        # sorted rows offset into disjoint ranges: one searchsorted bins every set
-        offset = rows * (unit + 2)
-        flat = flat * c + np.searchsorted((values + offset).ravel(), col + offset) - rows * c
-        widths.append(values[:, hi] - values[:, lo])
-    if unit**d >= 2**63:
-        widths = [w.astype(object) for w in widths]  # volume numerators outgrow int64
-    occupancy = np.bincount((flat + rows * c**d).ravel(), minlength=sets * c**d)
-    prefix = _occupancy_prefix(occupancy.reshape((sets,) + (c,) * d), 1)
-
-    # blocks of whole sets, or of axis-0 pairs of one set when a set alone exceeds a block
-    step = max(1, BLOCK_BOXES // len(lo) ** d)
-    pair_step = max(1, BLOCK_BOXES // len(lo) ** (d - 1))
-    found = np.zeros(sets, dtype=bool)
-    for start in range(0, sets, step):
-        block = slice(start, start + step)
-        for first in range(0, len(lo), pair_step):
-            part = slice(first, first + pair_step)
-            counts = _inside_counts(prefix[block], [(lo[part], hi[part])] + [(lo, hi)] * (d - 1), 1)
-            volumes = _box_volumes([widths[0][block, part]] + [w[block] for w in widths[1:]], 1)
-            empty_large = (counts == 0) & (volumes > threshold)
-            found[block] |= empty_large.reshape(len(counts), -1).any(axis=1)
-    return found

@@ -7,9 +7,11 @@ all classes gives computable failure bounds for random point sets; this
 module evaluates them in log space and, for instances small enough to
 enumerate, computes the exact failure probability as a rational number.
 Whether a point set leaves a large box empty depends only on its distinct
-points, so the exact value tests each support (set of distinct grid points)
-once and weights it by the number of ordered outcomes with exactly that
-support, a surjection count.
+points, so the exact value decides each support (set of distinct grid
+points) once and weights it by the number of ordered outcomes with exactly
+that support, a surjection count. Supports of fewer than 2^k - 1 points
+always fail and are counted without being listed; the others are decided
+by the certificate kernel, which is exact on grid sets at their own k.
 """
 
 import itertools
@@ -19,18 +21,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .construct import full_grid
-from .empty_box import batch_has_empty_box_above
+from .construct import _first_misses, _trials_per_chunk, full_grid
 from .grid import require_k
 from .guards import DEFAULT_OUTCOME_LIMIT, check_enumeration
 from .partition import BoxClass, feasible_class_table, ln_class_count_bound
 
 CHAIN_SLACK = 1e-12
-
-# Supports (padded to n points) handed to the empty-box kernel at once; the
-# kernel blocks its own temporaries, so this bounds only the per-chunk arrays:
-# their binning and prefix sums, about 0.5 MB at (k, d, n) = (2, 2, 7).
-OUTCOME_CHUNK = 128
 
 
 def hit_probability(cls: BoxClass) -> Fraction:
@@ -224,14 +220,23 @@ def exact_failure_probability(k, d: int, n: int, *, limit: int | None = None) ->
 
     Sums over the ordered outcome space of size (2^k - 1)^(d n), grouped by
     support: the set of distinct points an outcome holds. Repeated points
-    never change which boxes are empty, so each support of s points is tested
-    once and counts for the surj(n, s) = sum_j (-1)^j C(s, j) (s - j)^n
-    ordered outcomes whose distinct points are exactly it. The supports are
-    tested in chunks with ``batch_has_empty_box_above``, each padded to n
-    points by repeating its first point: each on its own candidate boxes,
-    exactly as one ``has_empty_box_above`` call per outcome would, with the
-    same per-outcome candidate guard. The outcome guard counts the ordered
-    outcomes, not the supports.
+    never change which boxes are empty, so each support of s points counts
+    for the surj(n, s) = sum_j (-1)^j C(s, j) (s - j)^n ordered outcomes
+    whose distinct points are exactly it.
+
+    A support of s < 2^k - 1 points fails without a test: on axis 0 it takes
+    at most s of the 2^k - 1 values, so it misses some value a there, and
+    with it the open box (a - 1, a + 1) / 2^k x (0, 1)^(d-1), whose volume
+    2^(1-k) exceeds 2^-k. So the C(g^d, s) supports of each such size, g^d
+    being the number of grid points, all count as failures, and below
+    n = 2^k - 1 the chance is 1 without building anything. Each larger
+    support is padded to n points by repeating its first point and
+    certified with the Monte Carlo chunks of the certificate kernel, off the
+    minimal cores of the feasible-class table: on a grid set at its own k
+    the certificate fails exactly when some box of volume above 2^-k is
+    empty (see ``certify_dispersion``). ``limit`` guards the ordered
+    outcomes first, also below n = 2^k - 1; at n >= 2^k - 1 it then guards
+    the class table and the full grid.
     """
     kk = require_k(k)
     if d < 1 or n < 1:
@@ -240,20 +245,25 @@ def exact_failure_probability(k, d: int, n: int, *, limit: int | None = None) ->
     total = (g**d) ** n
     check_enumeration("failure-probability outcomes", total, limit, DEFAULT_OUTCOME_LIMIT)
 
-    m = 2**kk
-    grid = full_grid(kk, d, limit=limit).points
-
-    top = min(n, len(grid))
+    cells = g**d
+    top = min(n, cells)
     # surj(n, s), the ordered n-tuples whose distinct points are exactly one s-point support
     weights = [sum((-1) ** j * math.comb(s, j) * (s - j) ** n for j in range(s + 1))
                for s in range(top + 1)]
+    # every support of fewer than g points misses a value on axis 0
+    failures = sum(math.comb(cells, s) * weights[s] for s in range(1, min(top, g - 1) + 1))
+    if n < g:
+        return Fraction(failures, total)
+
+    corners = feasible_class_table(kk, d, limit=limit).minimal_corners
+    grid = full_grid(kk, d, limit=limit).points
     supports = itertools.chain.from_iterable(
-        itertools.combinations(range(len(grid)), s) for s in range(1, top + 1)
+        itertools.combinations(range(cells), s) for s in range(g, top + 1)
     )
-    failures = 0
-    while chunk := list(itertools.islice(supports, OUTCOME_CHUNK)):
-        padded = itertools.chain.from_iterable(p + p[:1] * (n - len(p)) for p in chunk)
-        picks = np.fromiter(padded, dtype=np.int64, count=len(chunk) * n).reshape(-1, n)
-        found = batch_has_empty_box_above(grid[picks], m, m ** (d - 1), limit=limit)
-        failures += sum(weights[len(p)] for p, hit in zip(chunk, found.tolist()) if hit)
+    chunk = _trials_per_chunk(kk, d, n, len(corners))
+    while batch := list(itertools.islice(supports, chunk)):
+        padded = itertools.chain.from_iterable(p + p[:1] * (n - len(p)) for p in batch)
+        picks = np.fromiter(padded, dtype=np.int64, count=len(batch) * n).reshape(-1, n)
+        missed = _first_misses(grid[picks], kk, corners) < len(corners)
+        failures += sum(weights[len(p)] for p, miss in zip(batch, missed.tolist()) if miss)
     return Fraction(failures, total)

@@ -3,8 +3,9 @@
 Each oracle recomputes a quantity by a different route than the library:
 plain unpruned and shrunken closed-box scans and a recursive pruned bitmask
 scan and the former pair-enumerating block scan for the dispersion,
-inclusion-exclusion surjection counts and a
-per-outcome empty-box search for exact failure probabilities, grid
+inclusion-exclusion surjection counts, a
+per-outcome empty-box search and the former batched candidate-box count over
+every support for exact failure probabilities, grid
 enumeration for hit probabilities, a per-class loop over rebuilt classes
 for the hit-probability audit, classification of a fine mesh of boxes
 and a per-class feasibility walk for the feasible class set, a filter of
@@ -35,9 +36,8 @@ from dispgrid import (
     probability,
 )
 from dispgrid import empty_box
-from dispgrid.construct import BLOCK_CLASSES, _draw, _generator
+from dispgrid.construct import BLOCK_CLASSES, _draw, _generator, full_grid
 from dispgrid.empty_box import (
-    _box_volumes,
     _distinct,
     _inside_counts,
     _occupancy_prefix,
@@ -45,8 +45,17 @@ from dispgrid.empty_box import (
     _unit,
     _witness_box,
 )
-from dispgrid.guards import DEFAULT_ENUMERATION_LIMIT, check_enumeration
+from dispgrid.grid import require_k
+from dispgrid.guards import (
+    DEFAULT_ENUMERATION_LIMIT,
+    DEFAULT_OUTCOME_LIMIT,
+    check_enumeration,
+)
 from dispgrid.probability import HitProbabilityAudit
+
+# Supports (padded to n points) handed to ``batch_has_empty_box_above`` at once
+# by ``reference_exact_failure_probability``.
+OUTCOME_CHUNK = 128
 
 
 def shrink_oracle_dispersion(points: PointSet, delta: float = 1e-12) -> float:
@@ -178,6 +187,19 @@ def pruned_scan_largest_empty_box(points: PointSet):
     return volume, witness
 
 
+def _box_volumes(widths, lead: int = 0) -> np.ndarray:
+    """Volume of every box in the outer product of per-axis widths, multiplied in axis order.
+
+    Each width array holds `lead` batch axes followed by one axis of widths;
+    the batch axes are shared, not multiplied out.
+    """
+    volumes = widths[0]
+    for w in widths[1:]:
+        spread = w.shape[:lead] + (1,) * (volumes.ndim - lead) + w.shape[lead:]
+        volumes = volumes[..., None] * w.reshape(spread)
+    return volumes
+
+
 def pair_scan_search(points: PointSet, best, limit: int | None = None):
     """Empty candidate box of largest volume strictly above `best`, by enumerating every pair.
 
@@ -261,6 +283,99 @@ def per_outcome_failure_probability(k: int, d: int, n: int) -> Fraction:
         if volume > threshold:
             failures += weight
     return Fraction(failures, (2**k - 1) ** (d * n))
+
+
+def batch_has_empty_box_above(
+    numerators: np.ndarray, unit: int, threshold: int, *, limit: int | None = None
+) -> np.ndarray:
+    """Per point set, whether some box with volume numerator above `threshold` is empty.
+
+    `numerators` is an integer array of shape (sets, n, d): a batch of
+    same-size grid point sets with numerators in 1 .. unit - 1, and volumes
+    are numerators over unit^d. Each set is tested on its own candidate
+    endpoints, its distinct coordinates plus {0, unit} per axis, so the
+    answer for a set is ``has_empty_box_above`` on it alone. The endpoints are
+    stored padded to one count c = min(n, unit - 1) + 2 per axis by repeating
+    `unit`, which adds only zero-width pairs and copies of genuine boxes. The
+    guard counts the C(c, 2)^d candidate boxes of one set before anything is
+    binned. The counting is the same prefix-sum kernel with the set as a
+    leading axis, in blocks of about ``BLOCK_BOXES`` boxes. Each set's
+    endpoints are binned at the offset set * (unit + 2), so a batch whose
+    offsets leave the int64 range is refused with ``ValueError``.
+    """
+    sets, n, d = numerators.shape
+    if sets * (unit + 2) > np.iinfo(np.int64).max:
+        raise ValueError(f"{sets} sets at unit {unit} overflow the int64 binning offsets")
+    c = min(n, unit - 1) + 2
+    lo, hi = _pairs(c)
+    check_enumeration("candidate boxes", len(lo) ** d, limit, DEFAULT_ENUMERATION_LIMIT)
+
+    rows = np.arange(sets)[:, None]
+    ends = np.broadcast_to(np.array([0, unit]), (sets, 2))
+    flat = np.zeros((sets, n), dtype=np.int64)
+    widths = []
+    for col in np.moveaxis(numerators, 2, 0):
+        values = np.sort(np.concatenate((col, ends), axis=1), axis=1)
+        repeats = np.zeros(values.shape, dtype=bool)
+        repeats[:, 1:] = values[:, 1:] == values[:, :-1]
+        values[repeats] = unit + 1  # sorts after every value, then is clipped back to unit
+        values = np.minimum(np.sort(values, axis=1)[:, :c], unit)
+        # sorted rows offset into disjoint ranges: one searchsorted bins every set
+        offset = rows * (unit + 2)
+        flat = flat * c + np.searchsorted((values + offset).ravel(), col + offset) - rows * c
+        widths.append(values[:, hi] - values[:, lo])
+    if unit**d >= 2**63:
+        widths = [w.astype(object) for w in widths]  # volume numerators outgrow int64
+    occupancy = np.bincount((flat + rows * c**d).ravel(), minlength=sets * c**d)
+    prefix = _occupancy_prefix(occupancy.reshape((sets,) + (c,) * d), 1)
+
+    # blocks of whole sets, or of axis-0 pairs of one set when a set alone exceeds a block
+    step = max(1, empty_box.BLOCK_BOXES // len(lo) ** d)
+    pair_step = max(1, empty_box.BLOCK_BOXES // len(lo) ** (d - 1))
+    found = np.zeros(sets, dtype=bool)
+    for start in range(0, sets, step):
+        block = slice(start, start + step)
+        for first in range(0, len(lo), pair_step):
+            part = slice(first, first + pair_step)
+            counts = _inside_counts(prefix[block], [(lo[part], hi[part])] + [(lo, hi)] * (d - 1), 1)
+            volumes = _box_volumes([widths[0][block, part]] + [w[block] for w in widths[1:]], 1)
+            empty_large = (counts == 0) & (volumes > threshold)
+            found[block] |= empty_large.reshape(len(counts), -1).any(axis=1)
+    return found
+
+
+def reference_exact_failure_probability(k, d: int, n: int, *, limit: int | None = None) -> Fraction:
+    """Exact failure probability by testing every support with ``batch_has_empty_box_above``.
+
+    The library's former route: each support (set of distinct grid points)
+    of at most n points, small ones included, is padded to n points by
+    repeating its first point and tested on its own candidate boxes, in
+    chunks of ``OUTCOME_CHUNK``, then weighted by the surjection count of the
+    ordered outcomes that hold exactly it. Guards the ordered outcomes, the
+    full grid and the candidate boxes of one support, in that order.
+    """
+    kk = require_k(k)
+    if d < 1 or n < 1:
+        raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
+    g = 2**kk - 1
+    total = (g**d) ** n
+    check_enumeration("failure-probability outcomes", total, limit, DEFAULT_OUTCOME_LIMIT)
+
+    m = 2**kk
+    grid = full_grid(kk, d, limit=limit).points
+
+    top = min(n, len(grid))
+    weights = [surjection_count(s, n) for s in range(top + 1)]
+    supports = itertools.chain.from_iterable(
+        itertools.combinations(range(len(grid)), s) for s in range(1, top + 1)
+    )
+    failures = 0
+    while chunk := list(itertools.islice(supports, OUTCOME_CHUNK)):
+        padded = itertools.chain.from_iterable(p + p[:1] * (n - len(p)) for p in chunk)
+        picks = np.fromiter(padded, dtype=np.int64, count=len(chunk) * n).reshape(-1, n)
+        found = batch_has_empty_box_above(grid[picks], m, m ** (d - 1), limit=limit)
+        failures += sum(weights[len(p)] for p, hit in zip(chunk, found.tolist()) if hit)
+    return Fraction(failures, total)
 
 
 def core_contains(core, nums) -> bool:

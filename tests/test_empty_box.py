@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dispgrid import Box, PointSet, empty_box, full_grid, has_empty_box_above, largest_empty_box
-from dispgrid.empty_box import batch_has_empty_box_above
 from dispgrid.guards import GuardExceeded
 
 from oracles import (
+    batch_has_empty_box_above,
     exhaustive_largest_empty_box,
     pair_scan_search,
     pruned_scan_largest_empty_box,

@@ -19,13 +19,15 @@ from dispgrid import (
     ln_union_failure_bound_crude,
     min_hit_probability_bound,
 )
-from dispgrid import probability
+from dispgrid import construct, probability
 from dispgrid.guards import DEFAULT_ENUMERATION_LIMIT, DEFAULT_OUTCOME_LIMIT, GuardExceeded
+from dispgrid.partition import feasible_class_table
 
 from oracles import (
     brute_force_hit_probability,
     coverage_failure_probability,
     per_outcome_failure_probability,
+    reference_exact_failure_probability,
     reference_hit_audit,
 )
 
@@ -197,6 +199,16 @@ class TestExactFailureProbability:
     def test_matches_per_outcome_search(self, k, d, n):
         assert exact_failure_probability(k, d, n) == per_outcome_failure_probability(k, d, n)
 
+    @pytest.mark.parametrize(
+        "k,d,n",
+        # both sides of n = 2^k - 1, below which every support fails untested
+        [(2, 1, 3), (2, 1, 5), (2, 2, 3), (2, 2, 4), (2, 2, 5), (2, 2, 6), (2, 2, 7),
+         (3, 1, 4), (3, 1, 8), (3, 2, 2), (3, 2, 3), (2, 3, 2), (2, 3, 3), (4, 2, 2),
+         (5, 2, 1), (7, 2, 1)],
+    )
+    def test_matches_every_support_on_its_candidate_boxes(self, k, d, n):
+        assert exact_failure_probability(k, d, n) == reference_exact_failure_probability(k, d, n)
+
     def test_one_point_at_fine_resolution_always_fails(self):
         # one point always leaves a box of volume >= 1/2 empty; 16,129 outcomes
         assert exact_failure_probability(7, 2, 1) == 1
@@ -204,6 +216,19 @@ class TestExactFailureProbability:
     def test_guard(self):
         with pytest.raises(GuardExceeded, match="79792266297612001 items"):
             exact_failure_probability(3, 2, 10)
+
+    def test_outcome_guard_refuses_below_the_coverage_size(self):
+        # n = 1 < 2^12 - 1 fails for sure, but the outcomes are still counted first
+        with pytest.raises(GuardExceeded, match="16769025 items"):
+            exact_failure_probability(12, 2, 1)
+
+    @pytest.mark.parametrize("k,d,n", [(7, 2, 1), (8, 2, 1), (2, 7, 1), (3, 1, 6)])
+    def test_small_supports_build_nothing(self, k, d, n, monkeypatch):
+        calls = []
+        for name in ("feasible_class_table", "full_grid", "_first_misses"):
+            monkeypatch.setattr(probability, name, lambda *_, name=name, **__: calls.append(name))
+        assert exact_failure_probability(k, d, n) == 1
+        assert calls == []
 
     def test_outcome_guard_keeps_the_full_grid_admitted(self):
         # n = 1 has the fewest outcomes, g^d, against the d g^d numerators of the full grid
@@ -218,22 +243,34 @@ class TestExactFailureProbability:
         assert exact_failure_probability(2, 2, 7) == Fraction(1406723, 1594323)
 
     def test_each_support_tested_once(self, monkeypatch):
-        # 501 supports of at most 7 of the 9 grid points, against 6,435 multisets of 7
+        # the 456 supports of 3 to 7 of the 9 grid points, against 6,435 multisets of 7;
+        # the 45 supports of one or two points fail without a test
         tested = []
-        kernel = probability.batch_has_empty_box_above
+        kernel = probability._first_misses
 
         def counting(numerators, *args, **kwargs):
-            tested.append(len(numerators))
+            tested.extend(frozenset(map(tuple, rows)) for rows in numerators.tolist())
             return kernel(numerators, *args, **kwargs)
 
-        monkeypatch.setattr(probability, "batch_has_empty_box_above", counting)
+        monkeypatch.setattr(probability, "_first_misses", counting)
         exact_failure_probability(2, 2, 7)
-        assert sum(tested) == sum(math.comb(9, s) for s in range(1, 8)) == 501
+        assert len(tested) == len(set(tested)) == sum(math.comb(9, s) for s in range(3, 8)) == 456
 
-    @pytest.mark.parametrize("k,d,n", [(2, 2, 4), (3, 1, 5)])
-    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    @pytest.mark.parametrize("k,d,n", [(2, 2, 4), (2, 2, 7)])
+    @pytest.mark.parametrize("chunk", [1, 3, 5, 7])
     def test_chunk_size_does_not_change_value(self, k, d, n, chunk, monkeypatch):
-        # small chunks split inside one support size and straddle two
+        # chunks of 5 straddle the 84 supports of three points and the next size
         want = exact_failure_probability(k, d, n)
-        monkeypatch.setattr(probability, "OUTCOME_CHUNK", chunk)
+        corners = feasible_class_table(k, d).minimal_corners
+        per_support = max(len(corners), (2**k - 1) ** d + 1, n * d)
+        monkeypatch.setattr(construct, "CHUNK_ELEMENTS", chunk * per_support)
+        sizes = []
+        kernel = probability._first_misses
+
+        def counting(numerators, *args, **kwargs):
+            sizes.append(len(numerators))
+            return kernel(numerators, *args, **kwargs)
+
+        monkeypatch.setattr(probability, "_first_misses", counting)
         assert exact_failure_probability(k, d, n) == want
+        assert max(sizes) == chunk and len(sizes) == -(-sum(sizes) // chunk)
