@@ -13,7 +13,11 @@ into chunks. The scheme is recorded in output metadata as the ``rng`` tag.
 Monte Carlo derives the same SeedSequence state words for a whole block of
 trials in one vectorised pass of the seed-sequence hash, and PCG64 seeds
 itself from them as from the child SeedSequence, so its streams, and the
-``rng`` tag, are those of the scheme above.
+``rng`` tag, are those of the scheme above. It reads each stream's raw
+words and maps them to grid values itself, for all trials of a chunk at
+once, by the 32-bit Lemire step that Generator.integers takes for k <= 32;
+a trial whose draw that step would reject and redraw, and every trial past
+k = 32, is drawn by Generator.integers, so the values are numpy's own.
 
 The certificate checks that the point set intersects the core box of every
 feasible box class; a pass implies every box of volume above 2^-k contains a
@@ -174,16 +178,55 @@ class _StateWords(ISeedSequence):
         return self.words
 
 
-def _trial_generators(master_seed: int, trials: int):
-    """The streams of trials 0 .. trials - 1, with spawn index i for trial i.
+def _trial_states(master_seed: int, trials: int):
+    """The state words of trials 0 .. trials - 1, one row each, with spawn index i for trial i.
 
-    The state words are derived CHUNK_ELEMENTS trials at a time, whatever
-    the kernel's chunks, since each derivation has a fixed cost of several
+    The words are derived CHUNK_ELEMENTS trials at a time, whatever the
+    kernel's chunks, since each derivation has a fixed cost of several
     numpy children.
     """
     for start in range(0, trials, CHUNK_ELEMENTS):
-        for words in _spawn_states(master_seed, np.arange(start, min(start + CHUNK_ELEMENTS, trials))):
-            yield np.random.Generator(np.random.PCG64(_StateWords(words)))
+        yield from _spawn_states(master_seed, np.arange(start, min(start + CHUNK_ELEMENTS, trials)))
+
+
+def _stream(words: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_StateWords(words)))
+
+
+_LOW_HALF = np.uint64(0xFFFFFFFF)
+
+
+def _draw_trials(states: list, k: int, d: int, n: int) -> np.ndarray:
+    """The (trials, n, d) numerators that _draw gives on the stream of each row of state words.
+
+    For k <= 32 the range 2^k - 2 fits in 32 bits, and Generator.integers(1,
+    2^k) reads the stream's raw 64-bit words as 32-bit halves, low half
+    first, and maps a half h by Lemire's multiply-shift (numpy's
+    buffered_bounded_lemire_uint32): m = h (2^k - 1) gives the value
+    (m >> 32) + 1, unless the low 32 bits of m lie below 2^32 mod (2^k - 1),
+    where it rejects h and reads the next half. Here every half of
+    ceil(nd / 2) raw words per stream is mapped at once, the halves split by
+    arithmetic so that no byte order enters; a trial with a half in that
+    zone, and every trial past k = 32, where numpy maps whole words, is
+    drawn by _draw itself.
+    """
+    if k > 32:
+        return np.stack([_draw(_stream(words), k, d, n) for words in states])
+    size = n * d
+    raw = np.array([np.random.PCG64(_StateWords(words)).random_raw(-(-size // 2)) for words in states])
+    halves = np.empty(raw.shape + (2,), dtype=np.uint64)
+    np.bitwise_and(raw, _LOW_HALF, out=halves[..., 0])
+    np.right_shift(raw, np.uint64(32), out=halves[..., 1])
+    # an odd nd leaves the last word's high half unread
+    scaled = halves.reshape(len(raw), -1)[:, :size]
+    scaled *= np.uint64(2**k - 1)
+    rejected = ((scaled & _LOW_HALF) < np.uint64(2**32 % (2**k - 1))).any(axis=1)
+    # values below 2^32, so the int64 view reads the same numbers
+    numerators = (scaled >> np.uint64(32)).view(np.int64).reshape(len(raw), n, d)
+    numerators += 1
+    for trial in np.flatnonzero(rejected):
+        numerators[trial] = _draw(_stream(states[trial]), k, d, n)
+    return numerators
 
 
 def _draw(rng: np.random.Generator, k: int, d: int, n: int) -> np.ndarray:
@@ -412,10 +455,10 @@ def monte_carlo_success(
     corners = feasible_class_table(kk, d, limit=limit).minimal_corners
     classes = len(corners)
     chunk = _trials_per_chunk(kk, d, n, classes)
-    draws = (_draw(rng, kk, d, n) for rng in _trial_generators(master_seed, trials))
+    states = _trial_states(master_seed, trials)
     successes = 0
     for start in range(0, trials, chunk):
-        numerators = np.stack(list(itertools.islice(draws, chunk)))
+        numerators = _draw_trials(list(itertools.islice(states, chunk)), kk, d, n)
         first = _first_misses(numerators, kk, corners)
         successes += int(np.count_nonzero(first == classes))
 

@@ -283,11 +283,13 @@ def feasible_class_table(k, d: int, *, limit: int | None = None) -> ClassTable:
 
 @functools.lru_cache(maxsize=8)
 def _feasible_spans(k: int, d: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The boolean feasibility grid of the span vectors, which feasible ones are minimal, and the table's entries.
+    """The flat indices of the feasible span vectors in the (2^k - 1)^d span grid, which are minimal, and the table's entries.
 
     A feasible vector is minimal when no vector one below it on one axis is
     feasible. The entries are its classes times 2d + 2^L, where L is the most
     spans below 2^k - 1, which admit anchors above 1, in one minimal vector.
+    The cache keeps the indices, not the boolean grid, which holds one byte
+    per span vector (43 MB at k = 2, d = 16).
     """
     m = 2**k
     # prod(span + 1) per span vector; fits in int64 if in memory
@@ -300,13 +302,14 @@ def _feasible_spans(k: int, d: int) -> tuple[np.ndarray, np.ndarray, int]:
     # np.argwhere is several times slower on a grid of many axes
     spans = np.stack(np.unravel_index(np.flatnonzero(minimal), minimal.shape), 1) + 1
     columns = 2 ** int((spans < m - 1).sum(axis=1).max())
-    return feasible, minimal[feasible], int(np.prod(m - spans, axis=1).sum()) * (2 * d + columns)
+    entries = int(np.prod(m - spans, axis=1).sum()) * (2 * d + columns)
+    return np.flatnonzero(feasible), minimal[feasible], entries
 
 
 @functools.lru_cache(maxsize=8)
 def _class_table(k: int, d: int) -> ClassTable:
     feasible, minimal, _ = _feasible_spans(k, d)
-    spans = np.stack(np.unravel_index(np.flatnonzero(feasible), feasible.shape), 1) + 1
+    spans = np.stack(np.unravel_index(feasible, (2**k - 1,) * d), 1) + 1
     starts = np.concatenate(([0], np.cumsum(np.prod(2**k - spans, axis=1))))
     owner, offsets, anchors = _expand(k, spans[minimal])
     rows = starts[:-1][minimal][owner] + offsets

@@ -531,9 +531,13 @@ class TestGenerateCertified:
 
 
 def _spy_table_and_draw(monkeypatch) -> list:
-    """Record every class-table build and every draw that the construct module makes."""
+    """Record every class-table build and every draw that the construct module makes.
+
+    A draw is one _draw call ("draw") or one draw of a chunk of Monte Carlo
+    trials ("trials").
+    """
     calls = []
-    table, draw = construct.feasible_class_table, construct._draw
+    table, draw, draw_trials = construct.feasible_class_table, construct._draw, construct._draw_trials
 
     def spy_table(*args, **kwargs):
         calls.append("table")
@@ -543,8 +547,13 @@ def _spy_table_and_draw(monkeypatch) -> list:
         calls.append("draw")
         return draw(*args)
 
+    def spy_draw_trials(*args):
+        calls.append("trials")
+        return draw_trials(*args)
+
     monkeypatch.setattr(construct, "feasible_class_table", spy_table)
     monkeypatch.setattr(construct, "_draw", spy_draw)
+    monkeypatch.setattr(construct, "_draw_trials", spy_draw_trials)
     return calls
 
 
@@ -561,13 +570,61 @@ class TestSpawnStates:
         got = construct._spawn_states(seed, indices)
         assert got.dtype == np.uint64 and np.array_equal(got, np.array(want))
 
-    @pytest.mark.parametrize("seed", SEEDS[::2])
-    def test_streams_match_the_spawned_generators(self, monkeypatch, seed):
-        # word blocks of 7 trials: every stream after the first block comes from a later derivation
+
+def _reference_draws(seed: int, trials, k: int, d: int, n: int) -> np.ndarray:
+    return np.stack([construct._draw(construct._generator(seed, i), k, d, n) for i in trials])
+
+
+def _raw_halves(seed: int, index: int, count: int) -> np.ndarray:
+    """The first count 32-bit halves of a spawned stream's raw words, low half first."""
+    raw = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))).random_raw(-(-count // 2))
+    return np.stack((raw % np.uint64(2**32), raw >> np.uint64(32)), axis=-1).ravel()[:count]
+
+
+def _spy_draw_args(monkeypatch) -> list:
+    """Record the (k, d, n) of every _draw call that the construct module makes."""
+    drawn = []
+    draw = construct._draw
+    monkeypatch.setattr(construct, "_draw", lambda rng, *args: drawn.append(args) or draw(rng, *args))
+    return drawn
+
+
+class TestDrawTrials:
+    @pytest.mark.parametrize("k", [2, 3, 5, 16, 31, 32])
+    @pytest.mark.parametrize("d,n", [(2, 20), (3, 7), (1, 25), (1, 1)])
+    @pytest.mark.parametrize("seed", [0, 2**64 + 5])
+    def test_matches_the_spawned_generators(self, monkeypatch, k, d, n, seed):
+        # word blocks of 7 trials: every stream after the first block comes from a later
+        # derivation; n d = 21, 25 and 1 leave the last raw word's high half unread
         monkeypatch.setattr(construct, "CHUNK_ELEMENTS", 7)
-        got = [construct._draw(rng, 3, 2, 20) for rng in construct._trial_generators(seed, 30)]
-        want = [construct._draw(construct._generator(seed, i), 3, 2, 20) for i in range(30)]
-        assert len(got) == 30 and all(np.array_equal(a, b) for a, b in zip(got, want))
+        got = construct._draw_trials(list(construct._trial_states(seed, 30)), k, d, n)
+        want = _reference_draws(seed, range(30), k, d, n)
+        assert got.dtype == want.dtype == np.int64 and got.shape == (30, n, d)
+        assert np.array_equal(got, want)
+
+    def test_rejected_halves_redraw_the_trial(self, monkeypatch):
+        # at k = 17 numpy rejects a half h when h (2^17 - 1) mod 2^32 < 2^32 mod
+        # (2^17 - 1) = 2^15; among 500 trials of 1000 halves three meet one
+        k, g, n = 17, np.uint64(2**17 - 1), 1000
+        scaled = {i: _raw_halves(0, i, n) * g for i in range(500)}
+        rejected = [i for i, m in scaled.items() if (m % np.uint64(2**32) < np.uint64(2**15)).any()]
+        assert rejected == [43, 256, 456]
+        want = _reference_draws(0, range(500), k, 1, n)
+        drawn = _spy_draw_args(monkeypatch)
+        got = construct._draw_trials(list(construct._trial_states(0, 500)), k, 1, n)
+        assert drawn == [(k, 1, n)] * 3 and np.array_equal(got, want)
+        # the multiply-shift without the redraw gives other values on each of them
+        for i in rejected:
+            naive = (scaled[i] >> np.uint64(32)).astype(np.int64) + 1
+            assert not np.array_equal(naive, want[i, :, 0])
+
+    @pytest.mark.parametrize("k", [33, 40])
+    def test_past_32_bits_every_trial_is_drawn_by_numpy(self, monkeypatch, k):
+        # the range 2^k - 2 no longer fits in 32 bits, so numpy maps whole words
+        want = _reference_draws(3, range(5), k, 2, 3)
+        drawn = _spy_draw_args(monkeypatch)
+        got = construct._draw_trials(list(construct._trial_states(3, 5)), k, 2, 3)
+        assert drawn == [(k, 2, 3)] * 5 and np.array_equal(got, want)
 
 
 class TestWilsonInterval:
@@ -689,8 +746,9 @@ class TestMonteCarlo:
             with pytest.raises(ValueError, match=f"need d >= 1 and n >= 1, got d=2, n={n}"):
                 monte_carlo_success(2, 2, n, trials=5, master_seed=1)
         assert calls == []
+        # both trials are drawn in one chunk, after the table
         monte_carlo_success(2, 2, 1, trials=2, master_seed=1)
-        assert calls == ["table", "draw", "draw"]
+        assert calls == ["table", "trials"]
 
     def test_interval_inside_unit(self):
         mc = monte_carlo_success(2, 1, 3, trials=50, master_seed=1)

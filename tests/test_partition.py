@@ -344,13 +344,21 @@ class TestEnumeration:
         + [(4, 1), (4, 2), (4, 3), (5, 2), (7, 2), (12, 1)],
     )
     def test_feasible_spans_match_the_span_grid_filter(self, k, d):
-        grid, minimal, entries = partition._feasible_spans(k, d)
+        indices, minimal, entries = partition._feasible_spans(k, d)
         spans, want_minimal, want_entries = reference_feasible_spans(k, d)
         table_spans = feasible_class_table(k, d).span_vectors
-        assert grid.shape == (2**k - 1,) * d and table_spans.dtype == spans.dtype
-        assert np.array_equal(table_spans, spans) and np.array_equal(np.argwhere(grid) + 1, spans)
+        assert table_spans.dtype == spans.dtype and np.array_equal(table_spans, spans)
+        assert np.array_equal(np.stack(np.unravel_index(indices, (2**k - 1,) * d), 1) + 1, spans)
         assert np.array_equal(minimal, want_minimal)
         assert entries == want_entries
+
+    def test_cache_holds_no_feasibility_grid(self):
+        # the boolean grid of the 3^12 span vectors would stay in the cache
+        # for the life of the process; the table needs only its feasible indices
+        partition._feasible_spans.cache_clear()
+        cached = partition._feasible_spans(2, 12)
+        arrays = [item for item in cached if isinstance(item, np.ndarray)]
+        assert len(arrays) == 2 and all(a.size < 3**12 for a in arrays)
 
     def test_table_build_holds_no_span_grid(self):
         # the (3^11, 11) span grid alone is 15.6 MB of int64
