@@ -25,14 +25,9 @@ point, i.e. dispersion at most 2^-k. On a grid set at its own k it is also
 necessary: a fail means dispersion above 2^-k, and a pass means dispersion
 exactly 2^-k (see certify_dispersion). For a real-valued set, or a set from
 another grid rounded onto this one, a fail implies nothing about the true
-dispersion. One kernel counts the points in every core box by
-inclusion-exclusion over the corners of a prefix-sum occupancy table on the
-grid numerators 1 .. 2^k - 1, for one point set or for a chunk of Monte
-Carlo trials at once, off the corner matrix of the feasible-class table. It
-reads only the inclusion-minimal cores, the only classes that table expands,
-which every other core contains: they decide pass or fail, and a set's first
-empty core in table order is one of them, so one scan also names the
-witness, decoded from its table row.
+dispersion. Every certificate here, for one point set or for a chunk of
+Monte Carlo trials, is one call of the feasible-class table's kernel,
+ClassTable.first_misses, which returns the table row of each set's witness.
 """
 
 import itertools
@@ -46,18 +41,11 @@ from numpy.random.bit_generator import ISeedSequence
 from .bounds import n_required
 from .grid import GRID_REPR, PointSet, require_k
 from .guards import DEFAULT_ENUMERATION_LIMIT, check_enumeration
-from .partition import BoxClass, ClassTable, feasible_class_table
+from .partition import CHUNK_ELEMENTS, BoxClass, ClassTable, feasible_class_table
 
 RNG_SCHEME = "pcg64-seedsequence-v1"
 
 WILSON_Z_95 = 1.959963984540054
-
-# Rows of the corner matrix per pass of the certificate kernel: a trial stops
-# after the first block of classes that holds an empty core of its own.
-BLOCK_CLASSES = 2**14
-# Bound on the elements of each array of one Monte Carlo chunk (trials times
-# the class block, the occupancy table or the sampled numerators).
-CHUNK_ELEMENTS = 2**16
 
 
 class CertificationError(RuntimeError):
@@ -251,89 +239,6 @@ def full_grid(k, d: int, *, limit: int | None = None) -> PointSet:
     return PointSet.from_numerators(kk, d, np.indices((2**kk - 1,) * d).reshape(d, -1).T + 1)
 
 
-def _first_misses(numerators: np.ndarray, k: int, corners: np.ndarray) -> np.ndarray:
-    """Row of each trial's first class with an empty core, in a corner matrix.
-
-    ``numerators`` is a (trials, n, d) array of grid numerators and
-    ``corners`` a corner matrix (see ClassTable.minimal_corners); a trial
-    that hits every core gets ``len(corners)``. The points are counted into
-    one table on the numerators 1 .. 2^k - 1 per axis plus a trailing zero
-    cell, with the trial as last axis, so that reading one cell for every
-    trial is one contiguous row, and its cumulative sums are taken along
-    every grid axis. A point's cell reads its numerators minus one as
-    base-(2^k - 1) digits, formed by one multiply-add per axis rather than a
-    product with the digit weights, which numpy computes for integers
-    without BLAS at several times the cost. Read as digits, the numerators
-    themselves overshoot each cell by the all-ones digit string, so that many
-    leading counts are cut off the bincount rather than subtracted from every
-    point. Each core count is the signed sum of its row of corner cells,
-    BLOCK_CLASSES classes at a time; a trial leaves after the block holding
-    its first empty core.
-    """
-    trials, _, d = numerators.shape
-    g = 2**k - 1
-    cells = g**d
-    bins = numerators[..., 0].astype(np.int64)
-    for axis in range(1, d):
-        bins *= g
-        bins += numerators[..., axis]
-    if trials > 1:
-        bins *= trials
-        bins += np.arange(trials)[:, None]
-    below = sum(g**axis for axis in range(d)) * trials
-    flat = np.bincount(bins.ravel(), minlength=below + (cells + 1) * trials)[below:]
-    flat = flat.reshape(cells + 1, trials)
-    _prefix_sums(flat[:cells], g, d)
-
-    first = np.full(trials, len(corners))
-    live = np.arange(trials)
-    for start in range(0, len(corners), BLOCK_CLASSES):
-        block = corners[start : start + BLOCK_CLASSES]
-        counts = flat.take(block[:, 0], axis=0)
-        for column in range(1, block.shape[1]):
-            if column.bit_count() % 2:
-                counts -= flat.take(block[:, column], axis=0)
-            else:
-                counts += flat.take(block[:, column], axis=0)
-        empty = counts == 0
-        missed = empty.any(axis=0)
-        if missed.any():
-            first[live[missed]] = start + empty[:, missed].argmax(axis=0)
-            live = live[~missed]
-            if not live.size:
-                break
-            flat = flat[:, ~missed]
-    return first
-
-
-def _prefix_sums(table: np.ndarray, g: int, d: int) -> None:
-    """Cumulative sums, in place, along every axis of a row-major (g^d, trials) table.
-
-    np.cumsum along one axis runs one g-long loop per cell of the other axes,
-    so where each of an axis's g slices is long, adding whole slices, g - 1
-    adds per axis, is faster.
-    """
-    trials = table.shape[1]
-    if len(table) // g * trials >= 64 * g:
-        for axis in range(d):
-            view = table.reshape(g**axis, g, -1)
-            for i in range(1, g):
-                view[:, i] += view[:, i - 1]
-    else:
-        cube = table.reshape((g,) * d + (trials,))
-        for axis in range(d):
-            np.cumsum(cube, axis=axis, out=cube)
-
-
-def _first_miss(numerators: np.ndarray, k: int, table: ClassTable) -> int:
-    """Table row of the first core an (n, d) numerator set misses, or table.count if none.
-
-    That core is the first missed core of minimal spans (see ClassTable).
-    """
-    i = _first_misses(numerators[None], k, table.minimal_corners)[0]
-    return int(table.minimal_rows[i]) if i < len(table.minimal_rows) else table.count
-
-
 def certify_dispersion(points: PointSet, k, *, limit: int | None = None) -> CertificateResult:
     """Decide whether a grid set at resolution k has dispersion at most 2^-k.
 
@@ -358,7 +263,7 @@ def certify_dispersion(points: PointSet, k, *, limit: int | None = None) -> Cert
     if points.k != kk:
         raise ValueError(f"point set has resolution k={points.k}, certificate asked for k={kk}")
     table = feasible_class_table(kk, points.dim, limit=limit)
-    return _certificate(table, _first_miss(points.points, kk, table))
+    return _certificate(table, int(table.first_misses(points.points[None])[0]))
 
 
 def _certificate(table: ClassTable, i: int) -> CertificateResult:
@@ -387,7 +292,7 @@ def generate_certified(
     reached = 0
     for attempt in range(max_attempts):
         numerators = _draw(_generator(seed, attempt), kk, d, n)
-        i = _first_miss(numerators, kk, table)
+        i = int(table.first_misses(numerators[None])[0])
         if i == table.count:
             return GeneratedSet(PointSet.from_numerators(kk, d, numerators), attempt + 1)
         reached = max(reached, i)
@@ -414,12 +319,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     low = 0.0 if successes == 0 else max(0.0, center - half)
     high = 1.0 if successes == trials else min(1.0, center + half)
     return low, high
-
-
-def _trials_per_chunk(k: int, d: int, n: int, classes: int) -> int:
-    """Trials per kernel call, so that each of its arrays stays within CHUNK_ELEMENTS."""
-    per_trial = max(min(classes, BLOCK_CLASSES), (2**k - 1) ** d + 1, n * d)
-    return max(1, CHUNK_ELEMENTS // per_trial)
 
 
 def monte_carlo_success(
@@ -451,16 +350,13 @@ def monte_carlo_success(
             DeprecationWarning,
             stacklevel=2,
         )
-    # a trial succeeds when it hits every core, which the minimal cores decide
-    corners = feasible_class_table(kk, d, limit=limit).minimal_corners
-    classes = len(corners)
-    chunk = _trials_per_chunk(kk, d, n, classes)
+    table = feasible_class_table(kk, d, limit=limit)
+    chunk = table.trials_per_chunk(n)
     states = _trial_states(master_seed, trials)
     successes = 0
     for start in range(0, trials, chunk):
         numerators = _draw_trials(list(itertools.islice(states, chunk)), kk, d, n)
-        first = _first_misses(numerators, kk, corners)
-        successes += int(np.count_nonzero(first == classes))
+        successes += int(np.count_nonzero(table.first_misses(numerators) == table.count))
 
     low, high = wilson_interval(successes, trials)
     return MonteCarloSummary(
@@ -517,15 +413,14 @@ def empirical_min_n(
             ).success_rate
         return rates[n]
 
-    n = 1
-    while rate(n) < target_rate:
-        n *= 2
-        if n > max_n:
+    # doubling, clamped at max_n; the target lies in (lo, hi] once rate(hi) reaches it
+    lo, hi = 0, 1
+    while rate(hi) < target_rate:
+        if hi >= max_n:
             raise SearchLimitExceeded(
                 f"no n <= {max_n} reached target rate {target_rate} (trials={trials})"
             )
-    # rate(1) is 0, so n >= 2 and the target lies in (n / 2, n]
-    lo, hi = n // 2, n
+        lo, hi = hi, min(2 * hi, max_n)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if rate(mid) >= target_rate:

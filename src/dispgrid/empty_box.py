@@ -147,31 +147,31 @@ class ThresholdWitness(NamedTuple):
     witness: Box | None
 
 
-def _occupancy_prefix(occupancy: np.ndarray, lead: int = 0) -> np.ndarray:
-    """Exclusive prefix sums of an occupancy tensor along every axis from `lead` on.
+def _occupancy_prefix(occupancy: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sums of an occupancy tensor along every axis after the first.
 
     Each of those axes gains a leading zero, so entry t along it sums the
-    cells with index below t. Axes before `lead` index a batch of tensors and
-    are kept as they are.
+    cells with index below t. The first axis indexes a batch of tensors and
+    is kept as it is.
     """
-    shape = occupancy.shape[:lead] + tuple(c + 1 for c in occupancy.shape[lead:])
+    shape = occupancy.shape[:1] + tuple(c + 1 for c in occupancy.shape[1:])
     prefix = np.zeros(shape, dtype=np.int64)
-    prefix[(slice(None),) * lead + (slice(1, None),) * (occupancy.ndim - lead)] = occupancy
-    for axis in range(lead, occupancy.ndim):
+    prefix[(slice(None),) + (slice(1, None),) * (occupancy.ndim - 1)] = occupancy
+    for axis in range(1, occupancy.ndim):
         np.cumsum(prefix, axis=axis, out=prefix)
     return prefix
 
 
-def _inside_counts(prefix: np.ndarray, pairs, lead: int = 0) -> np.ndarray:
+def _inside_counts(prefix: np.ndarray, pairs) -> np.ndarray:
     """Points strictly inside every box formed from per-axis endpoint index pairs.
 
-    `pairs` holds one (i, j) pair of index arrays per axis of `prefix` from
-    `lead` on. Along each such axis the result has one entry per pair,
+    `pairs` holds one (i, j) pair of index arrays per axis of `prefix` after
+    the first. Along each such axis the result has one entry per pair,
     counting the points whose cell index lies strictly between i and j: the
     difference C[j] - C[i+1] of the prefix sums, taken one axis at a time.
     """
     counts = prefix
-    for axis, (i, j) in enumerate(pairs, lead):
+    for axis, (i, j) in enumerate(pairs, 1):
         counts = counts.take(j, axis=axis) - counts.take(i + 1, axis=axis)
     return counts
 
@@ -255,7 +255,7 @@ def _search(points: PointSet, best, limit: int | None):
         cells = [np.searchsorted(v, col) for v, col in zip(values, cols)]
     shape = tuple(len(v) for v in values)
     occupancy = np.bincount(np.ravel_multi_index(cells, shape), minlength=math.prod(shape))
-    prefix = _occupancy_prefix(np.moveaxis(occupancy.reshape(shape), -1, 0), 1)
+    prefix = _occupancy_prefix(np.moveaxis(occupancy.reshape(shape), -1, 0))
     pairs = [_pairs(len(v)) for v in head]
     widths = [v[hi] - v[lo] for v, (lo, hi) in zip(head, pairs)]
 
@@ -269,7 +269,7 @@ def _search(points: PointSet, best, limit: int | None):
         block_widths = [w[block] for w in widths[:1]] + widths[1:]
         if block_widths and block_widths[0].max() * cap <= best:
             continue
-        counts = _inside_counts(prefix, block_pairs, 1).reshape(len(last), -1)
+        counts = _inside_counts(prefix, block_pairs).reshape(len(last), -1)
         # last occupied endpoint value at or below each endpoint; last[0] is 0
         below = (counts > 0) * last[:, None]
         # accumulate runs one inner loop per prefix; whole rows cost less once they are as long

@@ -22,7 +22,11 @@ feasible span vectors and the first row of each one's anchors. Lowering one
 span by one at the same anchor shrinks the core, so every core contains the
 core of a class with minimal spans, none of which can be lowered by one and
 stay feasible; the table expands only those classes, as they decide whether
-a point set hits every core and name the first core it misses.
+a point set hits every core and name the first core it misses. The
+certificate kernel, ClassTable.first_misses, counts the points in those
+cores by inclusion-exclusion over the corners of a prefix-sum occupancy
+table on the grid numerators 1 .. 2^k - 1, for one point set or for a chunk
+of Monte Carlo trials at once, and returns each set's witness row.
 """
 
 import functools
@@ -36,6 +40,13 @@ import numpy as np
 from .empty_box import Box
 from .grid import exact_fraction, require_k
 from .guards import check_enumeration
+
+# Rows of the corner matrix per pass of the certificate kernel: a trial stops
+# after the first block of classes that holds an empty core of its own.
+BLOCK_CLASSES = 2**14
+# Bound on the elements of each array of one Monte Carlo chunk (trials times
+# the class block, the occupancy table or the sampled numerators).
+CHUNK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -214,6 +225,22 @@ class ClassTable:
         anchor = np.unravel_index(i - int(self.starts[j]), [2**self.k - s for s in span])
         return BoxClass(self.k, tuple(int(a) + 1 for a in anchor), tuple(span))
 
+    def first_misses(self, numerators: np.ndarray) -> np.ndarray:
+        """Table row of each trial's witness, its first empty core, or ``count`` for a trial that hits every core.
+
+        ``numerators`` is a (trials, n, d) array of grid numerators. Only the
+        minimal cores are counted: the first of them that a trial misses is
+        its witness (see ClassTable).
+        """
+        first = _first_misses(numerators, self.k, self.minimal_corners)
+        return np.append(self.minimal_rows, self.count)[first]
+
+    def trials_per_chunk(self, n: int) -> int:
+        """Trials of n points per first_misses call, so that each of the kernel's arrays stays within CHUNK_ELEMENTS."""
+        d = self.span_vectors.shape[1]
+        per_trial = max(min(len(self.minimal_corners), BLOCK_CLASSES), (2**self.k - 1) ** d + 1, n * d)
+        return max(1, CHUNK_ELEMENTS // per_trial)
+
 
 def _expand(k: int, spans: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The anchor blocks of span vectors, in order: each row's vector, its offset in the block, and its anchor."""
@@ -262,6 +289,80 @@ def _corner_matrix(k: int, anchors: np.ndarray, spans: np.ndarray) -> np.ndarray
         cells[depth < column.bit_length()] = g**d
     corners.flags.writeable = False
     return corners.T
+
+
+def _first_misses(numerators: np.ndarray, k: int, corners: np.ndarray) -> np.ndarray:
+    """Row of each trial's first class with an empty core, in a corner matrix.
+
+    ``numerators`` is a (trials, n, d) array of grid numerators and
+    ``corners`` a corner matrix (see ClassTable.minimal_corners); a trial
+    that hits every core gets ``len(corners)``. The points are counted into
+    one table on the numerators 1 .. 2^k - 1 per axis plus a trailing zero
+    cell, with the trial as last axis, so that reading one cell for every
+    trial is one contiguous row, and its cumulative sums are taken along
+    every grid axis. A point's cell reads its numerators minus one as
+    base-(2^k - 1) digits, formed by one multiply-add per axis rather than a
+    product with the digit weights, which numpy computes for integers
+    without BLAS at several times the cost. Read as digits, the numerators
+    themselves overshoot each cell by the all-ones digit string, so that many
+    leading counts are cut off the bincount rather than subtracted from every
+    point. Each core count is the signed sum of its row of corner cells,
+    BLOCK_CLASSES classes at a time; a trial leaves after the block holding
+    its first empty core.
+    """
+    trials, _, d = numerators.shape
+    g = 2**k - 1
+    cells = g**d
+    bins = numerators[..., 0].astype(np.int64)
+    for axis in range(1, d):
+        bins *= g
+        bins += numerators[..., axis]
+    if trials > 1:
+        bins *= trials
+        bins += np.arange(trials)[:, None]
+    below = sum(g**axis for axis in range(d)) * trials
+    flat = np.bincount(bins.ravel(), minlength=below + (cells + 1) * trials)[below:]
+    flat = flat.reshape(cells + 1, trials)
+    _prefix_sums(flat[:cells], g, d)
+
+    first = np.full(trials, len(corners))
+    live = np.arange(trials)
+    for start in range(0, len(corners), BLOCK_CLASSES):
+        block = corners[start : start + BLOCK_CLASSES]
+        counts = flat.take(block[:, 0], axis=0)
+        for column in range(1, block.shape[1]):
+            if column.bit_count() % 2:
+                counts -= flat.take(block[:, column], axis=0)
+            else:
+                counts += flat.take(block[:, column], axis=0)
+        empty = counts == 0
+        missed = empty.any(axis=0)
+        if missed.any():
+            first[live[missed]] = start + empty[:, missed].argmax(axis=0)
+            live = live[~missed]
+            if not live.size:
+                break
+            flat = flat[:, ~missed]
+    return first
+
+
+def _prefix_sums(table: np.ndarray, g: int, d: int) -> None:
+    """Cumulative sums, in place, along every axis of a row-major (g^d, trials) table.
+
+    np.cumsum along one axis runs one g-long loop per cell of the other axes,
+    so where each of an axis's g slices is long, adding whole slices, g - 1
+    adds per axis, is faster.
+    """
+    trials = table.shape[1]
+    if len(table) // g * trials >= 64 * g:
+        for axis in range(d):
+            view = table.reshape(g**axis, g, -1)
+            for i in range(1, g):
+                view[:, i] += view[:, i - 1]
+    else:
+        cube = table.reshape((g,) * d + (trials,))
+        for axis in range(d):
+            np.cumsum(cube, axis=axis, out=cube)
 
 
 def feasible_class_table(k, d: int, *, limit: int | None = None) -> ClassTable:

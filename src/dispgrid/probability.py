@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .construct import _first_misses, _trials_per_chunk, full_grid
+from .construct import full_grid
 from .grid import require_k
 from .guards import DEFAULT_OUTCOME_LIMIT, check_enumeration
 from .partition import BoxClass, feasible_class_table, ln_class_count_bound
@@ -231,10 +231,10 @@ def exact_failure_probability(k, d: int, n: int, *, limit: int | None = None) ->
     being the number of grid points, all count as failures, and below
     n = 2^k - 1 the chance is 1 without building anything. Each larger
     support is padded to n points by repeating its first point and
-    certified with the Monte Carlo chunks of the certificate kernel, off the
-    minimal cores of the feasible-class table: on a grid set at its own k
-    the certificate fails exactly when some box of volume above 2^-k is
-    empty (see ``certify_dispersion``). ``limit`` guards the ordered
+    certified in the Monte Carlo chunks of the certificate kernel,
+    ClassTable.first_misses: on a grid set at its own k the certificate
+    fails exactly when some box of volume above 2^-k is empty (see
+    ``certify_dispersion``). ``limit`` guards the ordered
     outcomes first, also below n = 2^k - 1; at n >= 2^k - 1 it then guards
     the class table and the full grid.
     """
@@ -255,15 +255,15 @@ def exact_failure_probability(k, d: int, n: int, *, limit: int | None = None) ->
     if n < g:
         return Fraction(failures, total)
 
-    corners = feasible_class_table(kk, d, limit=limit).minimal_corners
+    table = feasible_class_table(kk, d, limit=limit)
     grid = full_grid(kk, d, limit=limit).points
     supports = itertools.chain.from_iterable(
         itertools.combinations(range(cells), s) for s in range(g, top + 1)
     )
-    chunk = _trials_per_chunk(kk, d, n, len(corners))
+    chunk = table.trials_per_chunk(n)
     while batch := list(itertools.islice(supports, chunk)):
         padded = itertools.chain.from_iterable(p + p[:1] * (n - len(p)) for p in batch)
         picks = np.fromiter(padded, dtype=np.int64, count=len(batch) * n).reshape(-1, n)
-        missed = _first_misses(grid[picks], kk, corners) < len(corners)
+        missed = table.first_misses(grid[picks]) < table.count
         failures += sum(weights[len(p)] for p, miss in zip(batch, missed.tolist()) if miss)
     return Fraction(failures, total)

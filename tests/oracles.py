@@ -36,7 +36,7 @@ from dispgrid import (
     probability,
 )
 from dispgrid import empty_box
-from dispgrid.construct import BLOCK_CLASSES, _draw, _generator, full_grid
+from dispgrid.construct import _draw, _generator, full_grid
 from dispgrid.empty_box import (
     _distinct,
     _inside_counts,
@@ -51,6 +51,7 @@ from dispgrid.guards import (
     DEFAULT_OUTCOME_LIMIT,
     check_enumeration,
 )
+from dispgrid.partition import BLOCK_CLASSES
 from dispgrid.probability import HitProbabilityAudit
 
 # Supports (padded to n points) handed to ``batch_has_empty_box_above`` at once
@@ -223,7 +224,7 @@ def pair_scan_search(points: PointSet, best, limit: int | None = None):
     cells = [np.searchsorted(v, col) for v, col in zip(values, cols)]
     shape = tuple(len(v) for v in values)
     occupancy = np.bincount(np.ravel_multi_index(cells, shape), minlength=math.prod(shape))
-    prefix = _occupancy_prefix(occupancy.reshape(shape))
+    prefix = _occupancy_prefix(occupancy.reshape((1,) + shape))
     pairs = [_pairs(len(v)) for v in values]
     widths = [v[hi] - v[lo] for v, (lo, hi) in zip(values, pairs)]
 
@@ -235,7 +236,7 @@ def pair_scan_search(points: PointSet, best, limit: int | None = None):
         block = slice(start, start + step)
         if widths[0][block].max() * cap <= best:
             continue
-        counts = _inside_counts(prefix, [(lo0[block], hi0[block]), *pairs[1:]])
+        counts = _inside_counts(prefix, [(lo0[block], hi0[block]), *pairs[1:]])[0]
         empty = counts == 0
         volumes = np.where(empty, _box_volumes([widths[0][block], *widths[1:]]), 0)
         at = np.unravel_index(np.argmax(volumes), volumes.shape)
@@ -327,7 +328,7 @@ def batch_has_empty_box_above(
     if unit**d >= 2**63:
         widths = [w.astype(object) for w in widths]  # volume numerators outgrow int64
     occupancy = np.bincount((flat + rows * c**d).ravel(), minlength=sets * c**d)
-    prefix = _occupancy_prefix(occupancy.reshape((sets,) + (c,) * d), 1)
+    prefix = _occupancy_prefix(occupancy.reshape((sets,) + (c,) * d))
 
     # blocks of whole sets, or of axis-0 pairs of one set when a set alone exceeds a block
     step = max(1, empty_box.BLOCK_BOXES // len(lo) ** d)
@@ -337,7 +338,7 @@ def batch_has_empty_box_above(
         block = slice(start, start + step)
         for first in range(0, len(lo), pair_step):
             part = slice(first, first + pair_step)
-            counts = _inside_counts(prefix[block], [(lo[part], hi[part])] + [(lo, hi)] * (d - 1), 1)
+            counts = _inside_counts(prefix[block], [(lo[part], hi[part])] + [(lo, hi)] * (d - 1))
             volumes = _box_volumes([widths[0][block, part]] + [w[block] for w in widths[1:]], 1)
             empty_large = (counts == 0) & (volumes > threshold)
             found[block] |= empty_large.reshape(len(counts), -1).any(axis=1)

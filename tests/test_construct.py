@@ -151,7 +151,7 @@ class TestCertificate:
     def test_blocks_stop_at_the_reference_miss(self, monkeypatch, block):
         # with small class blocks, misses land in the first and in later
         # blocks, and a pass runs every block
-        monkeypatch.setattr(construct, "BLOCK_CLASSES", block)
+        monkeypatch.setattr(partition, "BLOCK_CLASSES", block)
         rng = random.Random(block)
         blocks = set()
         passes = 0
@@ -173,7 +173,7 @@ class TestCertificate:
         # the class table in a shuffled order puts first misses in every
         # block, the last one included; each trial of one chunk is checked
         # against a scan in that order
-        monkeypatch.setattr(construct, "BLOCK_CLASSES", 50)
+        monkeypatch.setattr(partition, "BLOCK_CLASSES", 50)
         anchors, spans = reference_class_table(3, 2)
         order = np.random.default_rng(3).permutation(len(anchors))
         anchors, spans = anchors[order], spans[order]
@@ -188,7 +188,7 @@ class TestCertificate:
         lo = np.array([core.lo for core in cores])[:, None]
         hi = np.array([core.hi for core in cores])[:, None]
         corners = partition._corner_matrix(3, anchors, spans)
-        first = construct._first_misses(numerators, 3, corners)
+        first = partition._first_misses(numerators, 3, corners)
         for trial, got in zip(numerators, first.tolist()):
             hit = ((lo <= trial) & (trial <= hi)).all(axis=2).any(axis=1)
             assert got == (len(anchors) if hit.all() else int(np.argmin(hit)))
@@ -313,12 +313,12 @@ class TestCertificateKernel:
         (k, d) for k in (3, 4, 5) for d in (1, 2, 3) if k < 5 or d < 3
     ]
 
-    @pytest.mark.parametrize("block", [3, 50, construct.BLOCK_CLASSES])
+    @pytest.mark.parametrize("block", [3, 50, partition.BLOCK_CLASSES])
     def test_matches_gray_code_kernel(self, monkeypatch, block):
         # uniform chunks and thinned full grids, whose trials leave at
         # different blocks; a small block runs only the tables of a few
         # thousand classes, since a pass walks every block
-        monkeypatch.setattr(construct, "BLOCK_CLASSES", block)
+        monkeypatch.setattr(partition, "BLOCK_CLASSES", block)
         rng = np.random.default_rng(block)
         spread = 0
         outcomes = Counter()
@@ -332,13 +332,12 @@ class TestCertificateKernel:
                 rng.integers(1, 2**k, size=(rng.integers(1, 9), rng.integers(0, 3 * cells), d))
                 for _ in range(3)
             ] + [_thinned_grid_chunk(rng, k, d, 8)]
-            # a kernel row past the minimal rows is a pass, one past the table
-            rows = np.append(table.minimal_rows, len(anchors))
             for numerators in chunks:
-                scanned = construct._first_misses(numerators, k, table.minimal_corners)
+                got = table.first_misses(numerators)
                 want = gray_code_first_misses(numerators, k, anchors, spans)
-                assert rows[scanned].tolist() == want.tolist()
-                misses = scanned[scanned < len(table.minimal_rows)]
+                assert got.tolist() == want.tolist()
+                # the kernel's blocks run over the minimal classes only
+                misses = np.searchsorted(table.minimal_rows, got[got < table.count])
                 spread = max(spread, len(np.unique(misses // block)))
                 outcomes.update((want == len(anchors)).tolist())
         assert outcomes[True] > 0 and outcomes[False] > 0
@@ -396,7 +395,7 @@ class TestCertificateKernel:
         cumsum = np.cumsum
         calls = []
         monkeypatch.setattr(np, "cumsum", lambda *a, **kw: calls.append(1) or cumsum(*a, **kw))
-        construct._prefix_sums(table, g, d)
+        partition._prefix_sums(table, g, d)
         assert np.array_equal(table, want.reshape(g**d, trials))
         assert (not calls) == slices
 
@@ -627,6 +626,12 @@ class TestDrawTrials:
         assert drawn == [(k, 2, 3)] * 5 and np.array_equal(got, want)
 
 
+def _set_chunk_elements(monkeypatch, value):
+    """Set the chunk bound for the kernel's chunks and for the state words derived at once."""
+    monkeypatch.setattr(partition, "CHUNK_ELEMENTS", value)
+    monkeypatch.setattr(construct, "CHUNK_ELEMENTS", value)
+
+
 class TestWilsonInterval:
     def test_contains_phat(self):
         low, high = wilson_interval(40, 100)
@@ -676,22 +681,21 @@ class TestMonteCarlo:
             (2, 1, 30, 2**8, "pass"),
             (2, 2, 20, 2**10, "mixed"),
             (2, 3, 30, 2**12, "mixed"),
-            (2, 4, 50, construct.CHUNK_ELEMENTS, "mixed"),
+            (2, 4, 50, partition.CHUNK_ELEMENTS, "mixed"),
             (3, 1, 20, 2**8, "mixed"),
-            (3, 2, 50, construct.CHUNK_ELEMENTS, "mixed"),
-            (3, 3, 100, construct.CHUNK_ELEMENTS, "mixed"),
-            (3, 4, 200, construct.CHUNK_ELEMENTS, "pass"),
+            (3, 2, 50, partition.CHUNK_ELEMENTS, "mixed"),
+            (3, 3, 100, partition.CHUNK_ELEMENTS, "mixed"),
+            (3, 4, 200, partition.CHUNK_ELEMENTS, "pass"),
             (4, 1, 40, 2**10, "mixed"),
-            (4, 2, 200, construct.CHUNK_ELEMENTS, "mixed"),
-            (4, 3, 1, construct.CHUNK_ELEMENTS, "fail"),
+            (4, 2, 200, partition.CHUNK_ELEMENTS, "mixed"),
+            (4, 3, 1, partition.CHUNK_ELEMENTS, "fail"),
         ],
     )
     def test_chunks_match_one_certificate_per_trial(
         self, monkeypatch, k, d, n, chunk_elements, outcome
     ):
-        monkeypatch.setattr(construct, "CHUNK_ELEMENTS", chunk_elements)
-        classes = feasible_class_table(k, d).count
-        chunk = construct._trials_per_chunk(k, d, n, classes)
+        _set_chunk_elements(monkeypatch, chunk_elements)
+        chunk = feasible_class_table(k, d).trials_per_chunk(n)
         counts = sorted({1, max(chunk - 1, 1), chunk, chunk + 1, 3 * chunk + 2})
         passes = reference_monte_carlo(k, d, n, counts[-1], master_seed=77)
         for trials in counts:
@@ -701,11 +705,11 @@ class TestMonteCarlo:
         assert kind == outcome
 
     @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3, 2**160 + 7])
-    @pytest.mark.parametrize("chunk_elements", [construct.CHUNK_ELEMENTS, 2**7])
+    @pytest.mark.parametrize("chunk_elements", [partition.CHUNK_ELEMENTS, 2**7])
     def test_matches_reference_across_word_blocks(self, monkeypatch, seed, chunk_elements):
         # at 2^7 the states come 128 trials at a time and the kernel takes 3, so they do not line up
-        monkeypatch.setattr(construct, "CHUNK_ELEMENTS", chunk_elements)
-        chunk = construct._trials_per_chunk(2, 2, 20, len(feasible_class_table(2, 2).minimal_corners))
+        _set_chunk_elements(monkeypatch, chunk_elements)
+        chunk = feasible_class_table(2, 2).trials_per_chunk(20)
         assert chunk_elements % chunk
         passes = reference_monte_carlo(2, 2, 20, 300, master_seed=seed)
         assert monte_carlo_success(2, 2, 20, 300, master_seed=seed).successes == sum(passes)
@@ -781,6 +785,12 @@ class TestEmpiricalMinN:
     def test_cap_exceeded(self):
         with pytest.raises(SearchLimitExceeded):
             empirical_min_n(2, 2, target_rate=0.999, trials=5, seed=1, max_n=4)
+
+    def test_cap_between_powers_of_two_is_tried(self):
+        # the doubling stops at max_n = 6 rather than passing it at 8
+        result = empirical_min_n(2, 1, 0.6, 2000, 3, max_n=6)
+        assert result == empirical_min_n(2, 1, 0.6, 2000, 3, max_n=8)
+        assert result.n_star == 5
 
     def test_no_trials_below_one_point_per_grid_value(self, monkeypatch):
         # fewer than 2^k - 1 points cannot pass, so those sizes draw no trial

@@ -19,9 +19,9 @@ from dispgrid import (
     ln_union_failure_bound_crude,
     min_hit_probability_bound,
 )
-from dispgrid import construct, probability
+from dispgrid import partition, probability
 from dispgrid.guards import DEFAULT_ENUMERATION_LIMIT, DEFAULT_OUTCOME_LIMIT, GuardExceeded
-from dispgrid.partition import feasible_class_table
+from dispgrid.partition import ClassTable, feasible_class_table
 
 from oracles import (
     brute_force_hit_probability,
@@ -225,8 +225,9 @@ class TestExactFailureProbability:
     @pytest.mark.parametrize("k,d,n", [(7, 2, 1), (8, 2, 1), (2, 7, 1), (3, 1, 6)])
     def test_small_supports_build_nothing(self, k, d, n, monkeypatch):
         calls = []
-        for name in ("feasible_class_table", "full_grid", "_first_misses"):
+        for name in ("feasible_class_table", "full_grid"):
             monkeypatch.setattr(probability, name, lambda *_, name=name, **__: calls.append(name))
+        monkeypatch.setattr(ClassTable, "first_misses", lambda *_: calls.append("first_misses"))
         assert exact_failure_probability(k, d, n) == 1
         assert calls == []
 
@@ -246,13 +247,13 @@ class TestExactFailureProbability:
         # the 456 supports of 3 to 7 of the 9 grid points, against 6,435 multisets of 7;
         # the 45 supports of one or two points fail without a test
         tested = []
-        kernel = probability._first_misses
+        kernel = ClassTable.first_misses
 
-        def counting(numerators, *args, **kwargs):
+        def counting(table, numerators):
             tested.extend(frozenset(map(tuple, rows)) for rows in numerators.tolist())
-            return kernel(numerators, *args, **kwargs)
+            return kernel(table, numerators)
 
-        monkeypatch.setattr(probability, "_first_misses", counting)
+        monkeypatch.setattr(ClassTable, "first_misses", counting)
         exact_failure_probability(2, 2, 7)
         assert len(tested) == len(set(tested)) == sum(math.comb(9, s) for s in range(3, 8)) == 456
 
@@ -263,14 +264,14 @@ class TestExactFailureProbability:
         want = exact_failure_probability(k, d, n)
         corners = feasible_class_table(k, d).minimal_corners
         per_support = max(len(corners), (2**k - 1) ** d + 1, n * d)
-        monkeypatch.setattr(construct, "CHUNK_ELEMENTS", chunk * per_support)
+        monkeypatch.setattr(partition, "CHUNK_ELEMENTS", chunk * per_support)
         sizes = []
-        kernel = probability._first_misses
+        kernel = ClassTable.first_misses
 
-        def counting(numerators, *args, **kwargs):
+        def counting(table, numerators):
             sizes.append(len(numerators))
-            return kernel(numerators, *args, **kwargs)
+            return kernel(table, numerators)
 
-        monkeypatch.setattr(probability, "_first_misses", counting)
+        monkeypatch.setattr(ClassTable, "first_misses", counting)
         assert exact_failure_probability(k, d, n) == want
         assert max(sizes) == chunk and len(sizes) == -(-sum(sizes) // chunk)
