@@ -400,6 +400,10 @@ def empirical_min_n(
     kk = require_k(k)
     if not (0.0 < target_rate < 1.0):
         raise ValueError(f"target rate must lie in (0, 1), got {target_rate}")
+    if not 1 <= trials <= 2**32:
+        raise ValueError(f"need 1 <= trials <= 2**32, got {trials}")
+    if max_n < 1:
+        raise ValueError(f"need max_n >= 1, got {max_n}")
     feasible_class_table(kk, d, limit=limit)
 
     rates: dict[int, float] = {}

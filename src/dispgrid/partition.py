@@ -16,9 +16,9 @@ and the counting formulas entering the union-bound failure estimates.
 Within a class's anchor range, anchor <= 2^k - span, the room left of 1 is
 never the binding cap on a side (2^k - anchor + 1 >= span + 1), so
 feasibility depends on the span vector alone: every span is at least 1 and
-prod(span + 1) > 2^(k(d-1)), read off one volume numerator per span vector.
-The feasible classes of one (k, d) form one cached read-only table of the
-feasible span vectors and the first row of each one's anchors. Lowering one
+prod(span + 1) > 2^(k(d-1)), found from the feasible prefixes of the span
+vectors. The feasible classes of one (k, d) form one cached read-only table of
+the feasible span vectors and the first row of each one's anchors. Lowering one
 span by one at the same anchor shrinks the core, so every core contains the
 core of a class with minimal spans, none of which can be lowered by one and
 stay feasible; the table expands only those classes, as they decide whether
@@ -257,8 +257,8 @@ def _expand(k: int, spans: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return owner, offsets, anchors
 
 
-def _corner_matrix(k: int, anchors: np.ndarray, spans: np.ndarray) -> np.ndarray:
-    """Cells of the certificate kernel's table that sum to each class's core count, for rows of anchors and spans.
+def _corner_matrix(k: int, anchors: np.ndarray, spans: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Cells of the certificate kernel's table that sum to each class's core count, for rows of anchors and the spans[owner] of each row.
 
     A read-only (classes, 2^L) matrix of cell indices into the row-major
     cumulative table over the numerators 1 .. 2^k - 1 per axis, whose
@@ -279,8 +279,8 @@ def _corner_matrix(k: int, anchors: np.ndarray, spans: np.ndarray) -> np.ndarray
     # a class's steps on its anchor>1 axes in axis order; the steps past its
     # own depth belong to other axes and only feed columns that read zero
     order = np.argsort(~low, axis=1, kind="stable")[:, :width]
-    steps = np.take_along_axis(spans * strides, order, axis=1)
-    top = (anchors + spans - 2) @ strides
+    steps = (spans * strides)[owner[:, None], order]
+    top = anchors @ strides + ((spans - 2) @ strides)[owner]
     # built one column at a time, to hold no (classes, 2^L) temporaries, and
     # returned column-major, so that each column the kernel reads is contiguous
     corners = np.empty((2**width, len(top)), dtype=top.dtype)
@@ -368,53 +368,64 @@ def _prefix_sums(table: np.ndarray, g: int, d: int) -> None:
 def feasible_class_table(k, d: int, *, limit: int | None = None) -> ClassTable:
     """The cached table of every feasible class at resolution k in dimension d.
 
-    The guard counts what is built, on every call: the (2^k - 1)^d volume
-    numerators of the span vectors before any exists, a count that also bounds
-    the certificate kernel's occupancy table per trial; then the classes of
-    minimal spans times their 2d anchor and span entries and the 2^L columns
-    of their corner matrix, before any other span vector is decoded.
+    The guard counts what is built, on every call: the (2^k - 1)^d span
+    vectors, which bound the feasible ones and the certificate kernel's
+    occupancy table per trial, before any exists; then the classes of minimal
+    spans times their 2d anchor and span entries and the 2^L columns of their
+    corner matrix, from the feasible prefixes, before any vector is expanded.
     """
     kk = require_k(k)
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
     check_enumeration("span grid", (2**kk - 1) ** d, limit)
-    check_enumeration("box-class table", _feasible_spans(kk, d)[2], limit)
+    check_enumeration("box-class table", _feasible_spans(kk, d)[3], limit)
     return _class_table(kk, d)
 
 
-@functools.lru_cache(maxsize=8)
-def _feasible_spans(k: int, d: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The flat indices of the feasible span vectors in the (2^k - 1)^d span grid, which are minimal, and the table's entries.
+def _extend(rows: np.ndarray, low: np.ndarray, m: int) -> np.ndarray:
+    """Each row followed by each value low .. m - 1, for that row's low, in order."""
+    owner = np.repeat(np.arange(len(rows)), m - low)
+    return np.column_stack((rows[owner], np.arange(len(owner)) - (np.cumsum(m - low) - m)[owner]))
 
+
+@functools.lru_cache(maxsize=8)
+def _feasible_spans(k: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The feasible span vectors, in order, as each feasible prefix of d - 1 spans followed by last spans low .. 2^k - 1, which runs' heads are minimal, and the table's entries.
+
+    Each span adds a factor of at most 2^k to prod(span + 1), so every prefix
+    of a feasible vector is feasible in its own dimension, and after a prefix
+    of volume V the next axis admits spans max(1, 2^(k axis) // V) .. 2^k - 1.
     A feasible vector is minimal when no vector one below it on one axis is
-    feasible. The entries are its classes times 2d + 2^L, where L is the most
-    spans below 2^k - 1, which admit anchors above 1, in one minimal vector.
-    The cache keeps the indices, not the boolean grid, which holds one byte
-    per span vector (43 MB at k = 2, d = 16).
+    feasible: only a head (prefix, low) can be, and it is when each of its
+    spans is 1 or leaves a volume of at most 2^(k(d-1)) one lower. The entries
+    are the minimal vectors' classes times 2d + 2^L, where L is the most spans
+    below 2^k - 1, which admit anchors above 1, in one of them.
     """
     m = 2**k
-    # prod(span + 1) per span vector; fits in int64 if in memory
-    feasible = functools.reduce(np.multiply.outer, [np.arange(2, m + 1)] * d) > m ** (d - 1)
-    minimal = feasible.copy()
+    prefixes = np.empty((1, 0), dtype=np.int64)
     for axis in range(d):
-        # above & ~below, as a comparison of booleans that holds no temporary grid
-        above = np.moveaxis(minimal, axis, 0)[1:]
-        np.greater(above, np.moveaxis(feasible, axis, 0)[:-1], out=above)
-    # np.argwhere is several times slower on a grid of many axes
-    spans = np.stack(np.unravel_index(np.flatnonzero(minimal), minimal.shape), 1) + 1
-    columns = 2 ** int((spans < m - 1).sum(axis=1).max())
-    entries = int(np.prod(m - spans, axis=1).sum()) * (2 * d + columns)
-    return np.flatnonzero(feasible), minimal[feasible], entries
+        # Python ints, as prod(span + 1) reaches 2^(kd)
+        volume = np.prod(prefixes + 1, axis=1, dtype=object)
+        low = np.maximum(m**axis // volume, 1).astype(np.int64)
+        if axis < d - 1:
+            prefixes = _extend(prefixes, low, m)
+    heads = np.column_stack((prefixes, low))
+    volume = volume * (low + 1)
+    minimal = ((heads == 1) | (volume[:, None] // (heads + 1) * heads <= m ** (d - 1))).all(axis=1)
+    columns = 2 ** int((heads[minimal] < m - 1).sum(axis=1).max())
+    entries = int(np.prod(m - heads[minimal], axis=1).sum()) * (2 * d + columns)
+    return prefixes, low, minimal, entries
 
 
 @functools.lru_cache(maxsize=8)
 def _class_table(k: int, d: int) -> ClassTable:
-    feasible, minimal, _ = _feasible_spans(k, d)
-    spans = np.stack(np.unravel_index(feasible, (2**k - 1,) * d), 1) + 1
+    prefixes, low, minimal, _ = _feasible_spans(k, d)
+    spans = _extend(prefixes, low, 2**k)
     starts = np.concatenate(([0], np.cumsum(np.prod(2**k - spans, axis=1))))
-    owner, offsets, anchors = _expand(k, spans[minimal])
-    rows = starts[:-1][minimal][owner] + offsets
-    corners = _corner_matrix(k, anchors, spans[minimal][owner])
+    heads = (np.cumsum(2**k - low) - (2**k - low))[minimal]
+    owner, offsets, anchors = _expand(k, spans[heads])
+    rows = starts[heads][owner] + offsets
+    corners = _corner_matrix(k, anchors, spans[heads], owner)
     for array in (spans, starts, rows):
         array.flags.writeable = False
     return ClassTable(k, spans, starts, rows, corners)

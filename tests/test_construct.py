@@ -187,7 +187,7 @@ class TestCertificate:
         ]
         lo = np.array([core.lo for core in cores])[:, None]
         hi = np.array([core.hi for core in cores])[:, None]
-        corners = partition._corner_matrix(3, anchors, spans)
+        corners = partition._corner_matrix(3, anchors, spans, np.arange(len(spans)))
         first = partition._first_misses(numerators, 3, corners)
         for trial, got in zip(numerators, first.tolist()):
             hit = ((lo <= trial) & (trial <= hi)).all(axis=2).any(axis=1)
@@ -404,7 +404,7 @@ class TestCertificateKernel:
         # replace the 128 corners of a 7-dimensional core
         table = feasible_class_table(2, 7)
         anchors, spans = reference_class_table(2, 7)
-        corners = partition._corner_matrix(2, anchors, spans)
+        corners = partition._corner_matrix(2, anchors, spans, np.arange(len(spans)))
         depth = (anchors > 1).sum(axis=1)
         assert corners.shape == (len(anchors), 16) and depth.max() == 4
         assert table.minimal_corners.shape == (len(table.minimal_rows), 16)
@@ -785,6 +785,21 @@ class TestEmpiricalMinN:
     def test_cap_exceeded(self):
         with pytest.raises(SearchLimitExceeded):
             empirical_min_n(2, 2, target_rate=0.999, trials=5, seed=1, max_n=4)
+
+    @pytest.mark.parametrize(
+        "trials,max_n,message",
+        [
+            (0, 2, "need 1 <= trials <= 2\\*\\*32, got 0"),
+            (2**33, 2, "need 1 <= trials <= 2\\*\\*32, got 8589934592"),
+            (5, 0, "need max_n >= 1, got 0"),
+        ],
+    )
+    def test_refuses_bad_arguments_before_the_table(self, monkeypatch, trials, max_n, message):
+        # refused as arguments, not reported as a search that found no n
+        calls = _spy_table_and_draw(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            empirical_min_n(2, 1, 0.5, trials, 1, max_n=max_n)
+        assert calls == []
 
     def test_cap_between_powers_of_two_is_tried(self):
         # the doubling stops at max_n = 6 rather than passing it at 8

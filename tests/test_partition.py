@@ -280,8 +280,8 @@ class TestEnumeration:
         ],
     )
     def test_default_guard_refuses_with_exact_counts(self, monkeypatch, k, d, what, count):
-        # each stage counts before it builds: the span volumes, then the
-        # minimal classes, before any other span vector is decoded
+        # each stage counts before it builds: the span vectors, then the
+        # minimal classes, from the feasible prefixes before any vector is expanded
         partition._feasible_spans.cache_clear()
         built = []
         for name, step in [("_feasible_spans", "grid"), ("_class_table", "table")]:
@@ -311,7 +311,7 @@ class TestEnumeration:
     @pytest.mark.parametrize("k,d", [(2, 1), (2, 8), (2, 13), (3, 3), (5, 2)])
     def test_guard_counts_the_built_table(self, k, d):
         # the minimal classes' anchors and spans, expanded to build their
-        # corner matrix; the larger stage decides, the span volumes at (2, 13)
+        # corner matrix; the larger stage decides, the span vectors at (2, 13)
         table = feasible_class_table(k, d)
         entries = len(table.minimal_rows) * 2 * d + table.minimal_corners.size
         assert entries == table_entries(k, d)
@@ -339,26 +339,35 @@ class TestEnumeration:
 
     @pytest.mark.parametrize(
         "k,d",
-        [(2, d) for d in range(1, 12)]
+        [(2, d) for d in range(1, 13)]
         + [(3, d) for d in range(1, 6)]
-        + [(4, 1), (4, 2), (4, 3), (5, 2), (7, 2), (12, 1)],
+        + [(4, 1), (4, 2), (4, 3), (5, 2), (6, 2), (7, 2), (9, 2), (12, 1)],
     )
     def test_feasible_spans_match_the_span_grid_filter(self, k, d):
-        indices, minimal, entries = partition._feasible_spans(k, d)
+        prefixes, low, minimal, entries = partition._feasible_spans(k, d)
         spans, want_minimal, want_entries = reference_feasible_spans(k, d)
         table_spans = feasible_class_table(k, d).span_vectors
         assert table_spans.dtype == spans.dtype and np.array_equal(table_spans, spans)
-        assert np.array_equal(np.stack(np.unravel_index(indices, (2**k - 1,) * d), 1) + 1, spans)
-        assert np.array_equal(minimal, want_minimal)
+        # run j is prefix j followed by each last span low[j] .. 2^k - 1; its head alone may be minimal
+        runs = [(*p, last) for p, a in zip(prefixes.tolist(), low.tolist()) for last in range(a, 2**k)]
+        assert np.array_equal(np.array(runs), spans)
+        heads = np.cumsum(2**k - low) - (2**k - low)
+        assert np.array_equal(np.flatnonzero(want_minimal), heads[minimal])
         assert entries == want_entries
 
-    def test_cache_holds_no_feasibility_grid(self):
-        # the boolean grid of the 3^12 span vectors would stay in the cache
-        # for the life of the process; the table needs only its feasible indices
+    def test_entries_exact_past_int64_volumes(self):
+        # prod(span + 1) reaches 4^32 = 2^64 at (2, 32); at k = 2 and d >= 4 the
+        # minimal classes number 36 C(d,3) + 16 C(d,4), with at most 4 anchors above 1
+        minimal = 36 * math.comb(32, 3) + 16 * math.comb(32, 4)
+        assert partition._feasible_spans(2, 32)[3] == minimal * (2 * 32 + 2**4)
+
+    def test_cache_holds_no_span_grid(self):
+        # the cache lives as long as the process; it keeps the feasible
+        # prefixes and their runs, nothing the size of the 3^12 span vectors
         partition._feasible_spans.cache_clear()
         cached = partition._feasible_spans(2, 12)
         arrays = [item for item in cached if isinstance(item, np.ndarray)]
-        assert len(arrays) == 2 and all(a.size < 3**12 for a in arrays)
+        assert len(arrays) == 3 and all(a.size < 3**12 for a in arrays)
 
     def test_table_build_holds_no_span_grid(self):
         # the (3^11, 11) span grid alone is 15.6 MB of int64
@@ -371,6 +380,31 @@ class TestEnumeration:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_table_build_at_d16_holds_no_span_grid(self):
+        # one byte per span vector of (2, 16) alone is 41 MB; the table holds ~20 MB
+        partition._feasible_spans.cache_clear()
+        partition._class_table.cache_clear()
+        tracemalloc.start()
+        try:
+            feasible_class_table(2, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    def test_table_refusal_builds_no_span_grid(self):
+        # the 8191^2 span vectors of (13, 2) are 67M; the count needs only their 8191 prefixes
+        partition._feasible_spans.cache_clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardExceeded) as info:
+                feasible_class_table(13, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (info.value.what, info.value.count) == ("box-class table", 91_194_946_592)
+        assert peak < 16 * 2**20
 
     def test_cached_table_is_read_only(self):
         table = feasible_class_table(2, 2)
@@ -412,7 +446,7 @@ class TestMinimalCores:
         inside = cores_inside(k, lo, hi, lo[keep], hi[keep])
         assert (inside >= 1).all() and (inside[keep] == 1).all()
         assert np.array_equal(table.minimal_rows, np.flatnonzero(keep))
-        corners = partition._corner_matrix(k, anchors, spans)
+        corners = partition._corner_matrix(k, anchors, spans, np.arange(len(spans)))
         assert np.array_equal(table.minimal_corners, corners[keep])
         assert table.minimal_corners.flags.f_contiguous
 
