@@ -32,9 +32,14 @@ block holds at least as many prefixes as endpoints, and
 ``np.maximum.accumulate`` down the endpoints otherwise: the accumulate runs
 one short inner loop per prefix, the row form one numpy call per endpoint.
 Prefixes are evaluated in blocks of consecutive axis-0 pairs in
-lexicographic endpoint order, a block whose volume bound cannot beat the
-best so far is skipped, and the first maximiser is kept, so ties resolve to
-the lexicographically smallest witness.
+lexicographic endpoint order, and the first maximiser is kept, so ties
+resolve to the lexicographically smallest witness. An axis-0 pair is swept
+only when its bound can beat the best so far: per prefix, its height times
+the widest last-axis gap that the same axis-0 start left at its last swept
+pair. Widening the axis-0 pair widens the slab, which can only occupy more
+last-axis endpoints, so the gaps can only shrink; float subtraction and
+multiplication are monotone, so the bound holds exactly in float as in
+integers, and a pair it skips could not have strictly beaten the best.
 
 For grid-valued inputs the whole search runs on integer numerators and the
 result is exact (an arbitrary-precision integer over 2^(k*d); int64 while
@@ -226,8 +231,18 @@ def _search(points: PointSet, best, limit: int | None):
     ``np.searchsorted``, whose cost does not grow with 2^k.
 
     Blocks of consecutive axis-0 endpoint pairs are visited in lexicographic
-    order; a block is skipped when its widest axis-0 pair times unit^(d-1)
-    cannot strictly beat the best so far. A block's first maximal prefix
+    order. `ceiling` holds, per axis-0 start i and prefix p on axes 1 .. d-2,
+    the widest last-axis gap of the last pair (i, j') swept so far, or unit
+    before any: a wider pair (i, j) spans a superset slab, whose occupied
+    last-axis endpoints are a superset too, so each running maximum can only
+    rise and gaps(i, j, p) <= gaps(i, j', p). As float subtraction and
+    multiplication are monotone, height(i, j, p) * ceiling[i, p] bounds the
+    pair's volume exactly for int64, Python-int and float volumes alike. A
+    block sweeps only its pairs whose bound, the maximum over their prefixes,
+    strictly beats the best so far, and is skipped when none does; each
+    swept start's ceiling then takes the gaps of its last pair in the block,
+    the widest. A skipped pair cannot strictly beat the best, so neither
+    the volume nor the witness changes. A block's first maximal prefix
     replaces the best only on strict improvement, and the winning prefix's
     last-axis pair is the first maximiser among that row's pairs, found in
     one pass over its endpoints without listing the pairs, so the result is
@@ -259,17 +274,23 @@ def _search(points: PointSet, best, limit: int | None):
     pairs = [_pairs(len(v)) for v in head]
     widths = [v[hi] - v[lo] for v, (lo, hi) in zip(head, pairs)]
 
-    cap = unit ** (points.dim - 1)
     rows = math.prod(len(w) for w in widths[1:])  # box prefixes per axis-0 pair
     step = max(1, BLOCK_BOXES // (rows * len(last)))
+    # per axis-0 start and prefix, a bound on the widest gap of every pair from it not yet swept
+    ceiling = np.full((len(values[0]), rows), unit, dtype=last.dtype)
     found = None
     for start in range(0, len(widths[0]) if widths else 1, step):
-        block = slice(start, start + step)
-        block_pairs = [(lo[block], hi[block]) for lo, hi in pairs[:1]] + pairs[1:]
-        block_widths = [w[block] for w in widths[:1]] + widths[1:]
-        if block_widths and block_widths[0].max() * cap <= best:
-            continue
-        counts = _inside_counts(prefix, block_pairs).reshape(len(last), -1)
+        if widths:
+            block = slice(start, start + step)
+            heights = _box_volumes([widths[0][block], *widths[1:]]).reshape(-1, rows)
+            lo, hi = (ends[block] for ends in pairs[0])
+            keep = np.flatnonzero((heights * ceiling[lo]).max(axis=1) > best)
+            if not len(keep):
+                continue
+            lo, hi, heights = lo[keep], hi[keep], heights[keep].ravel()
+            counts = _inside_counts(prefix, [(lo, hi), *pairs[1:]]).reshape(len(last), -1)
+        else:
+            heights, keep, counts = np.ones(1, last.dtype), [0], prefix.reshape(len(last), 1)
         # last occupied endpoint value at or below each endpoint; last[0] is 0
         below = (counts > 0) * last[:, None]
         # accumulate runs one inner loop per prefix; whole rows cost less once they are as long
@@ -279,12 +300,15 @@ def _search(points: PointSet, best, limit: int | None):
         else:
             np.maximum.accumulate(below, axis=0, out=below)
         gaps = (last[1:, None] - below[:-1]).max(axis=0)
-        heights = _box_volumes(block_widths).ravel() if widths else np.ones(1, last.dtype)
         volumes = heights * gaps
         at = np.argmax(volumes)
         if volumes[at] > best:
             best = type(unit)(volumes[at])  # a Python int or float, as the callers expect
-            found = start * rows + at, counts[:, at], heights[at]
+            found = (start + keep[at // rows]) * rows + at % rows, counts[:, at], heights[at]
+        if widths:
+            # each start's last pair here is its widest so far, so its gaps bound the start's later pairs
+            tail = np.flatnonzero(np.append(lo[1:] != lo[:-1], True))
+            ceiling[lo[tail]] = gaps.reshape(-1, rows)[tail]
     if found is None:
         return best, None
     at, row, height = found
@@ -347,8 +371,9 @@ def has_empty_box_above(
     """Whether some candidate box with volume strictly above `threshold` is empty.
 
     Equivalent to ``largest_empty_box(points).volume > threshold``: the same
-    search, with the threshold as the starting best, so that every block
-    that cannot beat it is skipped. The witness, when found, is therefore
+    search, with the threshold as the starting best, so that every axis-0
+    pair whose height times its start's gap ceiling cannot beat it is
+    skipped. The witness, when found, is therefore
     ``largest_empty_box(points).witness``. The guard is checked first, as in
     ``largest_empty_box``.
     """

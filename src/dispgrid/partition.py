@@ -403,12 +403,12 @@ def _feasible_spans(k: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     """
     m = 2**k
     prefixes = np.empty((1, 0), dtype=np.int64)
+    volume = np.ones(1, dtype=object)  # each prefix's prod(span + 1), in Python ints: it reaches 2^(kd)
     for axis in range(d):
-        # Python ints, as prod(span + 1) reaches 2^(kd)
-        volume = np.prod(prefixes + 1, axis=1, dtype=object)
         low = np.maximum(m**axis // volume, 1).astype(np.int64)
         if axis < d - 1:
             prefixes = _extend(prefixes, low, m)
+            volume = np.repeat(volume, m - low) * (prefixes[:, -1] + 1)
     heads = np.column_stack((prefixes, low))
     volume = volume * (low + 1)
     minimal = ((heads == 1) | (volume[:, None] // (heads + 1) * heads <= m ** (d - 1))).all(axis=1)

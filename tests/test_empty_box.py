@@ -371,6 +371,83 @@ class TestGapSweepMatchesPairScan:
         assert result.witness == Box((0.0, 0.0), (0.5, 1.0), (False, False), (True, False))
 
 
+def _dense_grid_cases():
+    """Full grids at (2,3), (2,4), (3,3) and (3,4), each also without one layer and without a few seeded cells."""
+    cases = []
+    for k, d, axis, value in ((2, 3, 1, 2), (2, 4, 2, 3), (3, 3, 0, 3), (3, 4, 2, 5)):
+        g = full_grid(k, d).points
+        drop = np.random.default_rng(k * 10 + d).choice(len(g), size=3, replace=False)
+        for rows in (g, g[g[:, axis] != value], np.delete(g, drop, axis=0)):
+            cases.append(PointSet.from_numerators(k, d, rows))
+    return cases
+
+
+class TestGapCeilingOnDenseGrids:
+    """The per-pair gap ceiling against the pair scan where most axis-0 pairs cannot win."""
+
+    @pytest.mark.parametrize("block_boxes", [empty_box.BLOCK_BOXES, 40, 1])
+    def test_volume_witness_and_threshold(self, block_boxes, monkeypatch):
+        # at 40 and 1 every axis-0 pair is its own block, so each ceiling comes from an earlier block
+        monkeypatch.setattr(empty_box, "BLOCK_BOXES", block_boxes)
+        for pts in _dense_grid_cases():
+            volume, witness = _pair_scan(pts)
+            result = largest_empty_box(pts)
+            assert result.volume == volume
+            assert result.witness == witness
+            for t in (volume / 2, volume):
+                assert has_empty_box_above(pts, t) == ((True, witness) if volume > t else (False, None))
+
+    @pytest.mark.parametrize("block_boxes", [empty_box.BLOCK_BOXES, 1])
+    def test_float_tie_after_the_pair_that_set_the_ceiling(self, block_boxes, monkeypatch):
+        # A = [0, 1/2) x [0,1] x [0, g1) and B = [0, 3/4) x [0,1] x [0, g2) are the largest empty
+        # boxes; B is the larger in exact arithmetic, but both volumes round to the same float.
+        # Both pairs start at x = 0, so in one-pair blocks B's bound is its height times the gap
+        # ceiling left by (0, 0.55), whose widest gap is g2: the bound ties the best and B is skipped
+        monkeypatch.setattr(empty_box, "BLOCK_BOXES", block_boxes)
+        g1, g2 = 0.58, 0.38666666666666666
+        assert 0.75 * g2 == 0.5 * g1 and Fraction(0.75) * Fraction(g2) > Fraction(0.5) * Fraction(g1)
+        columns = [(0.05 * i, z) for i in range(1, 10) for z in (g1, 0.79)]
+        columns += [(x, z) for x in (0.5, 0.55, 0.6, 0.65, 0.7) for z in (g2, g1, 0.79)]
+        columns += [(x, j / 20) for x in (0.75, 0.875) for j in range(1, 20)]
+        # every column at y = 1/8 .. 7/8, so a box thin in y holds at most 1/8
+        pts = PointSet.from_reals(3, [(x, j / 8, z) for x, z in columns for j in range(1, 8)])
+        b = Box((0.0, 0.0, 0.0), (0.75, 1.0, g2), (False, False, False), (True, False, True))
+        assert not any(b.contains(v) for v in pts.values())
+        result = largest_empty_box(pts)
+        assert (result.volume, result.witness) == pair_scan_search(pts, 0.0)
+        assert result.volume == 0.5 * g1
+        assert result.witness == Box((0.0, 0.0, 0.0), (0.5, 1.0, g1), (False, False, False),
+                                     (True, False, True))
+        assert has_empty_box_above(pts, 0.25) == (True, result.witness)
+        assert has_empty_box_above(pts, 0.5 * g1) == (False, None)
+
+    @pytest.mark.parametrize(
+        "axis,value,calls,witness",
+        [
+            (None, None, 8, "[0,1/8) x [0,1] x [0,1] x [0,1]"),
+            (2, 5, 11, "[0,1] x [0,1] x (1/2,3/4) x [0,1]"),
+            (0, 3, 7, "(1/4,1/2) x [0,1] x [0,1] x [0,1]"),
+        ],
+    )
+    def test_blocks_swept_on_the_full_grid(self, axis, value, calls, witness, monkeypatch):
+        # pins the oracle's work at (3, 4): the former whole-block width test swept 29, 23 and 20
+        # of the 36 blocks, as its bound assumed every other side and the last gap full
+        g = full_grid(3, 4).points
+        pts = PointSet.from_numerators(3, 4, g if axis is None else g[g[:, axis] != value])
+        swept = []  # one entry per block the oracle sweeps
+        inside_counts = empty_box._inside_counts
+        monkeypatch.setattr(
+            empty_box, "_inside_counts", lambda *args: swept.append(args) or inside_counts(*args)
+        )
+        result = largest_empty_box(pts)
+        assert len(swept) == calls
+        assert result.volume == (Fraction(1, 8) if axis is None else Fraction(1, 4))
+        assert result.witness.format_text() == witness
+        swept.clear()
+        assert has_empty_box_above(pts, Fraction(1, 16)) == (True, result.witness)
+        assert len(swept) <= calls
+
+
 class TestHasEmptyBoxAbove:
     def test_full_grid_not_above_quarter(self):
         assert not has_empty_box_above(full_grid(2, 2), Fraction(1, 4)).found

@@ -361,6 +361,13 @@ class TestEnumeration:
         minimal = 36 * math.comb(32, 3) + 16 * math.comb(32, 4)
         assert partition._feasible_spans(2, 32)[3] == minimal * (2 * 32 + 2**4)
 
+    @pytest.mark.parametrize("d", range(4, 25))
+    def test_entries_match_the_k2_closed_form(self, d):
+        # at k = 2 and d >= 4 the minimal classes are the (1,2,2) shapes on 3 axes and the
+        # (2,2,2,2) shapes on 4, each with 2d anchor and span entries and 2^4 corner columns
+        minimal = 36 * math.comb(d, 3) + 16 * math.comb(d, 4)
+        assert partition._feasible_spans(2, d)[3] == minimal * (2 * d + 16)
+
     def test_cache_holds_no_span_grid(self):
         # the cache lives as long as the process; it keeps the feasible
         # prefixes and their runs, nothing the size of the 3^12 span vectors
