@@ -247,7 +247,10 @@ def certify_dispersion(points: PointSet, k, *, limit: int | None = None) -> Cert
     those of the classes whose spans cannot be lowered by one on any axis
     and stay feasible: every other core contains one of them, so they
     decide pass or fail, and the first empty core in table order is one of
-    them, so the same scan names the witness. A pass implies dispersion
+    them, so the same scan names the witness. The kernel reads the points
+    in doubling prefixes and stops at the first prefix that hits every
+    minimal core, which decides a pass (see ClassTable.first_misses); a
+    fail is decided, and its witness named, on all n points. A pass implies dispersion
     <= 2^-k, in fact exactly 2^-k: the box (0, 2^-k) x (0, 1)^(d-1) holds no
     grid point. A fail carries as witness the first class, in the order of
     enumerate_feasible_classes, whose core is empty, with ``classes_checked``

@@ -26,7 +26,12 @@ a point set hits every core and name the first core it misses. The
 certificate kernel, ClassTable.first_misses, counts the points in those
 cores by inclusion-exclusion over the corners of a prefix-sum occupancy
 table on the grid numerators 1 .. 2^k - 1, for one point set or for a chunk
-of Monte Carlo trials at once, and returns each set's witness row.
+of Monte Carlo trials at once, and returns each set's witness row. A set
+whose prefix hits every core hits them all, so the kernel reads the points
+in doubling prefixes and stops at the first prefix that hits every minimal
+core. That pays where n lies far above the table's cells and corner
+entries, at low d and fine k; a set of a few points in high d, such as
+n_required(2, d) at d >= 7, is read in one pass.
 """
 
 import functools
@@ -296,22 +301,56 @@ def _first_misses(numerators: np.ndarray, k: int, corners: np.ndarray) -> np.nda
 
     ``numerators`` is a (trials, n, d) array of grid numerators and
     ``corners`` a corner matrix (see ClassTable.minimal_corners); a trial
-    that hits every core gets ``len(corners)``. The points are counted into
-    one table on the numerators 1 .. 2^k - 1 per axis plus a trailing zero
-    cell, with the trial as last axis, so that reading one cell for every
-    trial is one contiguous row, and its cumulative sums are taken along
-    every grid axis. A point's cell reads its numerators minus one as
-    base-(2^k - 1) digits, formed by one multiply-add per axis rather than a
+    that hits every core gets ``len(corners)``. A prefix of a set that hits
+    every core leaves the whole set passing, so the points are read in
+    prefixes: the first holds max(cells + 1, corner entries) points, so
+    that binning it costs no less than one scan of the cores, and each
+    later one doubles the points read, or takes the rest once fewer than
+    twice those remain. Each round bins only the new points of the trials
+    still live into a running count table and scans the minimal cores on a
+    copy of it; a trial that hits every core has passed and leaves, and the
+    last round, over all n points, names the first miss of every trial
+    left. Where the first prefix covers n, as for a few points in high d,
+    this is one pass over every point, with neither a running table nor a
+    copy. A set that hits every core only with its last points pays one
+    more scan and table copy for each earlier round, each over no more
+    cells and corners than that round binned points.
+    """
+    trials, n, d = numerators.shape
+    g = 2**k - 1
+    end = max(g**d + 1, corners.size)
+    counts = _occupancy(numerators[:, :end], g, d)
+    if end >= n:
+        return _scan(counts, g, d, corners)
+    first = np.full(trials, len(corners))
+    live = np.arange(trials)
+    while True:
+        missed = _scan(counts.copy(), g, d, corners) < len(corners)
+        if not missed.any():
+            return first
+        live, counts = live[missed], counts[:, missed]
+        read, end = end, (n if n - end < 2 * end else 2 * end)
+        # basic slicing while every trial is live: a fancy index copies the points
+        part = numerators[:, read:end] if live.size == trials else numerators[live, read:end]
+        counts += _occupancy(part, g, d)
+        if end == n:
+            first[live] = _scan(counts, g, d, corners)
+            return first
+
+
+def _occupancy(numerators: np.ndarray, g: int, d: int) -> np.ndarray:
+    """Point counts of each trial in a (g^d + 1, trials) table on the numerators 1 .. g per axis plus a trailing zero cell.
+
+    The trial is the last axis, so that reading one cell for every trial is
+    one contiguous row. A point's cell reads its numerators minus one as
+    base-g digits, formed by one multiply-add per axis rather than a
     product with the digit weights, which numpy computes for integers
     without BLAS at several times the cost. Read as digits, the numerators
-    themselves overshoot each cell by the all-ones digit string, so that many
-    leading counts are cut off the bincount rather than subtracted from every
-    point. Each core count is the signed sum of its row of corner cells,
-    BLOCK_CLASSES classes at a time; a trial leaves after the block holding
-    its first empty core.
+    themselves overshoot each cell by the all-ones digit string, so that
+    many leading counts are cut off the bincount rather than subtracted from
+    every point.
     """
-    trials, _, d = numerators.shape
-    g = 2**k - 1
+    trials = numerators.shape[0]
     cells = g**d
     bins = numerators[..., 0].astype(np.int64)
     for axis in range(1, d):
@@ -322,11 +361,19 @@ def _first_misses(numerators: np.ndarray, k: int, corners: np.ndarray) -> np.nda
         bins += np.arange(trials)[:, None]
     below = sum(g**axis for axis in range(d)) * trials
     flat = np.bincount(bins.ravel(), minlength=below + (cells + 1) * trials)[below:]
-    flat = flat.reshape(cells + 1, trials)
-    _prefix_sums(flat[:cells], g, d)
+    return flat.reshape(cells + 1, trials)
 
-    first = np.full(trials, len(corners))
-    live = np.arange(trials)
+
+def _scan(flat: np.ndarray, g: int, d: int, corners: np.ndarray) -> np.ndarray:
+    """Row of each trial's first empty core, or ``len(corners)``, from a (g^d + 1, trials) count table, summed in place.
+
+    The cumulative sums are taken along every grid axis, and each core count
+    is the signed sum of its row of corner cells, BLOCK_CLASSES classes at a
+    time; a trial leaves after the block holding its first empty core.
+    """
+    _prefix_sums(flat[:-1], g, d)
+    first = np.full(flat.shape[1], len(corners))
+    live = np.arange(flat.shape[1])
     for start in range(0, len(corners), BLOCK_CLASSES):
         block = corners[start : start + BLOCK_CLASSES]
         counts = flat.take(block[:, 0], axis=0)
@@ -411,7 +458,9 @@ def _feasible_spans(k: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
             volume = np.repeat(volume, m - low) * (prefixes[:, -1] + 1)
     heads = np.column_stack((prefixes, low))
     volume = volume * (low + 1)
-    minimal = ((heads == 1) | (volume[:, None] // (heads + 1) * heads <= m ** (d - 1))).all(axis=1)
+    # volume // (s + 1) * s = volume s / (s + 1) grows with s, so a head's largest span binds
+    top = heads.max(axis=1)
+    minimal = (top == 1) | (volume // (top + 1) * top <= m ** (d - 1))
     columns = 2 ** int((heads[minimal] < m - 1).sum(axis=1).max())
     entries = int(np.prod(m - heads[minimal], axis=1).sum()) * (2 * d + columns)
     return prefixes, low, minimal, entries

@@ -14,7 +14,9 @@ former table build that expands every class's anchors and spans, a
 table of the cores inside every core for the inclusion-minimal cores, a
 per-class core-box scan for the certificate, the former certificate kernel that reads
 all 2^d corners of every core off a 2^k-per-axis table for its first-miss
-positions, and one certificate per trial for Monte Carlo success counts.
+positions, the former single-pass certificate kernel that bins every point
+before it scans a core, and one certificate per trial for Monte Carlo
+success counts.
 """
 
 import functools
@@ -51,7 +53,7 @@ from dispgrid.guards import (
     DEFAULT_OUTCOME_LIMIT,
     check_enumeration,
 )
-from dispgrid.partition import BLOCK_CLASSES
+from dispgrid.partition import BLOCK_CLASSES, _prefix_sums
 from dispgrid.probability import HitProbabilityAudit
 
 # Supports (padded to n points) handed to ``batch_has_empty_box_above`` at once
@@ -644,6 +646,52 @@ def gray_code_first_misses(numerators: np.ndarray, k: int, anchors, spans) -> np
                 counts -= flat.take(index, axis=0)
             else:
                 counts += flat.take(index, axis=0)
+        empty = counts == 0
+        missed = empty.any(axis=0)
+        if missed.any():
+            first[live[missed]] = start + empty[:, missed].argmax(axis=0)
+            live = live[~missed]
+            if not live.size:
+                break
+            flat = flat[:, ~missed]
+    return first
+
+
+def single_pass_first_misses(numerators: np.ndarray, k: int, corners: np.ndarray) -> np.ndarray:
+    """Row of each trial's first class with an empty core, in a corner matrix, from one pass over every point.
+
+    The library's former certificate kernel: every point of every trial is
+    binned into one table on the numerators 1 .. 2^k - 1 per axis plus a
+    trailing zero cell, with the trial as last axis, before any core is
+    read; its cumulative sums are taken along every grid axis, and each core
+    count is the signed sum of its row of corner cells, BLOCK_CLASSES classes
+    at a time. A trial that hits every core gets ``len(corners)``.
+    """
+    trials, _, d = numerators.shape
+    g = 2**k - 1
+    cells = g**d
+    bins = numerators[..., 0].astype(np.int64)
+    for axis in range(1, d):
+        bins *= g
+        bins += numerators[..., axis]
+    if trials > 1:
+        bins *= trials
+        bins += np.arange(trials)[:, None]
+    below = sum(g**axis for axis in range(d)) * trials
+    flat = np.bincount(bins.ravel(), minlength=below + (cells + 1) * trials)[below:]
+    flat = flat.reshape(cells + 1, trials)
+    _prefix_sums(flat[:cells], g, d)
+
+    first = np.full(trials, len(corners))
+    live = np.arange(trials)
+    for start in range(0, len(corners), BLOCK_CLASSES):
+        block = corners[start : start + BLOCK_CLASSES]
+        counts = flat.take(block[:, 0], axis=0)
+        for column in range(1, block.shape[1]):
+            if column.bit_count() % 2:
+                counts -= flat.take(block[:, column], axis=0)
+            else:
+                counts += flat.take(block[:, column], axis=0)
         empty = counts == 0
         missed = empty.any(axis=0)
         if missed.any():

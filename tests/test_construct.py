@@ -35,6 +35,7 @@ from oracles import (
     reference_certify,
     reference_class_table,
     reference_monte_carlo,
+    single_pass_first_misses,
 )
 
 
@@ -420,6 +421,151 @@ class TestCertificateKernel:
             rank = np.cumsum(low, axis=1) - 1
             stepped = low & (column >> np.where(low, rank, 0) & 1).astype(bool)
             assert (cells == np.where(stepped, below, top)).all()
+
+
+def _first_prefix(table) -> int:
+    """The points the certificate kernel reads in its first round: the table's cells plus one, or its corner entries."""
+    return max((2**table.k - 1) ** table.span_vectors.shape[1] + 1, table.minimal_corners.size)
+
+
+def _column_chunk(k: int, n: int, columns) -> np.ndarray:
+    """Trials of n points at d = 2 that hit every core at different prefixes.
+
+    Trial 0 tiles the full grid, so it hits every core within its first
+    cells + 1 points. For each column c, one trial tiles the grid without
+    the points x = c and ends with the single point (c, 2^(k-1)), which lies
+    in every core of width 1 at x = c: it hits every core only with its last
+    point. Another tiles the grid without x = c and misses such a core.
+    """
+    grid = full_grid(k, 2).points
+    trials = [np.resize(grid, (n, 2))]
+    for c in columns:
+        rest = grid[grid[:, 0] != c]
+        trials.append(np.vstack([np.resize(rest, (n - 1, 2)), [[c, 2 ** (k - 1)]]]))
+        trials.append(np.resize(rest, (n, 2)))
+    return np.stack(trials)
+
+
+def _spy_rounds(monkeypatch) -> list:
+    """Record each round of the certificate kernel: the points it bins, the table they fill, and the table it scans."""
+    rounds = []
+    occupancy, scan = partition._occupancy, partition._scan
+
+    def spy_occupancy(part, g, d):
+        counts = occupancy(part, g, d)
+        rounds.append({"part": part, "shape": part.shape[:2], "counts": counts})
+        return counts
+
+    def spy_scan(flat, g, d, corners):
+        rounds[-1]["scanned"] = flat
+        return scan(flat, g, d, corners)
+
+    monkeypatch.setattr(partition, "_occupancy", spy_occupancy)
+    monkeypatch.setattr(partition, "_scan", spy_scan)
+    return rounds
+
+
+class TestPrefixKernel:
+    # the certificate kernel reads a set's points in doubling prefixes; the former
+    # single-pass kernel and the Gray-code kernel over every class are its oracles
+
+    @staticmethod
+    def _check(table, numerators, anchors, spans) -> np.ndarray:
+        got = table.first_misses(numerators)
+        single = single_pass_first_misses(numerators, table.k, table.minimal_corners)
+        assert got.tolist() == np.append(table.minimal_rows, table.count)[single].tolist()
+        assert got.tolist() == gray_code_first_misses(numerators, table.k, anchors, spans).tolist()
+        return got
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("times,offset", [(1, -1), (1, 0), (1, 1), (2, -1), (2, 0), (2, 1), (3, 1), (7, 5)])
+    def test_matches_oracles_around_the_prefix_sizes(self, k, times, offset):
+        table = feasible_class_table(k, 2)
+        anchors, spans = reference_class_table(k, 2)
+        n = times * _first_prefix(table) + offset
+        chunk = _column_chunk(k, n, [2**k - 1, 2])
+        got = self._check(table, chunk, anchors, spans)
+        assert (got == table.count).tolist() == [True, True, False, True, False]
+        # each trial alone, every failing trial, and the trials that pass at different prefixes
+        for picks in ([0], [1], [2], [2, 4], [0, 1], [1, 2, 3]):
+            assert self._check(table, chunk[picks], anchors, spans).tolist() == got[picks].tolist()
+
+    @pytest.mark.parametrize("k,d", [(2, 3), (3, 3), (2, 5)])
+    def test_matches_oracles_on_uniform_trials(self, k, d):
+        # uniform trials pass or miss at their first prefix; copies with one
+        # layer x_axis = v moved to a neighbouring value miss a core in every prefix
+        table = feasible_class_table(k, d)
+        anchors, spans = reference_class_table(k, d)
+        first = _first_prefix(table)
+        rng = np.random.default_rng(10 * k + d)
+        outcomes = Counter()
+        for n in (first - 1, first + 1, 2 * first + 1, 3 * first + 2):
+            chunk = rng.integers(1, 2**k, size=(4, n, d))
+            for trial in chunk[2:]:
+                axis, v = rng.integers(d), rng.integers(1, 2**k)
+                trial[trial[:, axis] == v, axis] = v % (2**k - 1) + 1
+            got = self._check(table, chunk, anchors, spans)
+            outcomes.update((got == table.count).tolist())
+        assert outcomes[True] > 0 and outcomes[False] > 0
+
+    def test_sorted_dense_set_passes_at_full_n(self, monkeypatch):
+        # sorted by x, every prefix short of the last round misses the last columns
+        table = feasible_class_table(5, 2)
+        anchors, spans = reference_class_table(5, 2)
+        points = sample_grid_points(5, 2, n_required(5, 2), 0).points
+        points = points[np.lexsort(points.T[::-1])][None]
+        rounds = _spy_rounds(monkeypatch)
+        assert self._check(table, points, anchors, spans).tolist() == [table.count]
+        first = _first_prefix(table)
+        sizes = [r["shape"][1] for r in rounds[:6]]
+        assert sizes == [first, first, 2 * first, 4 * first, 8 * first, len(points[0]) - 16 * first]
+
+    def test_reads_doubling_prefixes(self, monkeypatch):
+        # a trial that hits every core in a prefix leaves; the rest read twice the
+        # points, and the last round, fewer than twice those left, takes them all
+        table = feasible_class_table(4, 2)
+        first = _first_prefix(table)
+        n = 7 * first + 5
+        chunk = _column_chunk(4, n, [3])
+        rounds = _spy_rounds(monkeypatch)
+        got = table.first_misses(chunk)
+        assert (got == table.count).tolist() == [True, True, False]
+        assert [r["shape"] for r in rounds] == [(3, first), (2, first), (2, 2 * first), (2, 3 * first + 5)]
+        # basic slices while every trial is live, copies of the live trials after
+        assert [np.shares_memory(r["part"], chunk) for r in rounds] == [True, False, False, False]
+        # each scan reads a running table of every point read so far, in its last grid cell;
+        # the first round's counts stay unsummed for the next
+        totals = [r["scanned"][-2].tolist() for r in rounds]
+        assert totals == [[first] * 3, [2 * first] * 2, [4 * first] * 2, [n] * 2]
+        assert rounds[0]["scanned"] is not rounds[0]["counts"]
+        rounds.clear()
+        assert table.first_misses(chunk[:1]).tolist() == [table.count]
+        assert [r["shape"] for r in rounds] == [(1, first)]
+        assert np.shares_memory(rounds[0]["part"], chunk)
+
+    @pytest.mark.parametrize("offset", [-1, 0])
+    def test_one_pass_when_the_first_prefix_covers_n(self, monkeypatch, offset):
+        table = feasible_class_table(4, 2)
+        n = _first_prefix(table) + offset
+        chunk = _column_chunk(4, n, [3])
+        rounds = _spy_rounds(monkeypatch)
+        got = table.first_misses(chunk)
+        assert (got == table.count).tolist() == [True, True, False]
+        # one round over every point, scanned in the table it was binned into
+        assert [r["shape"] for r in rounds] == [(3, n)]
+        assert np.shares_memory(rounds[0]["part"], chunk) and rounds[0]["scanned"] is rounds[0]["counts"]
+
+    def test_last_point_decides(self):
+        # the dense sample without its column x = 7 misses the width-1 core there;
+        # (7, 16) lies in every such core, so put last it decides the certificate
+        points = sample_grid_points(5, 2, 573440, 0).points
+        rest = points[points[:, 0] != 7]
+        cert = certify_dispersion(PointSet.from_numerators(5, 2, rest), 5)
+        assert not cert.passed and cert.classes_checked == 97
+        assert (cert.witness.anchor, cert.witness.span) == ((7, 1), (1, 16))
+        last = np.vstack([rest, [[7, 16]]])
+        assert len(last) == 555_031
+        assert certify_dispersion(PointSet.from_numerators(5, 2, last), 5).passed
 
 
 class TestGenerateCertified:

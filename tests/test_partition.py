@@ -361,12 +361,23 @@ class TestEnumeration:
         minimal = 36 * math.comb(32, 3) + 16 * math.comb(32, 4)
         assert partition._feasible_spans(2, 32)[3] == minimal * (2 * 32 + 2**4)
 
-    @pytest.mark.parametrize("d", range(4, 25))
+    @pytest.mark.parametrize("d", [*range(4, 25), 48])
     def test_entries_match_the_k2_closed_form(self, d):
         # at k = 2 and d >= 4 the minimal classes are the (1,2,2) shapes on 3 axes and the
-        # (2,2,2,2) shapes on 4, each with 2d anchor and span entries and 2^4 corner columns
+        # (2,2,2,2) shapes on 4, each with 2d anchor and span entries and 2^4 corner columns;
+        # uncached, so that the 246,563 prefixes of (2, 48) are not kept
         minimal = 36 * math.comb(d, 3) + 16 * math.comb(d, 4)
-        assert partition._feasible_spans(2, d)[3] == minimal * (2 * d + 16)
+        assert partition._feasible_spans.__wrapped__(2, d)[3] == minimal * (2 * d + 16)
+
+    @pytest.mark.parametrize("k,d", [(2, 16), (2, 32), (3, 6), (5, 3), (8, 2)])
+    def test_minimal_heads_match_the_every_span_test(self, k, d):
+        # a head is minimal when each of its spans is 1 or leaves a volume of at most
+        # 2^(k(d-1)) one lower; the largest span binds, as the test of every span agrees
+        prefixes, low, minimal, _ = partition._feasible_spans(k, d)
+        heads = np.column_stack((prefixes, low))
+        volume = np.prod(heads.astype(object) + 1, axis=1)
+        every = (heads == 1) | (volume[:, None] // (heads + 1) * heads <= 2 ** (k * (d - 1)))
+        assert minimal.dtype == bool and np.array_equal(minimal, every.all(axis=1))
 
     def test_cache_holds_no_span_grid(self):
         # the cache lives as long as the process; it keeps the feasible
