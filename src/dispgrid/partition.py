@@ -204,20 +204,27 @@ class ClassTable:
     minimal spans whose core the set misses too. As s' <= s on every axis,
     (s', a) comes no later in table order, so s' = s. The first missed class
     of minimal spans, at its table row, is therefore the witness. Only those
-    classes are expanded, into their ``minimal_rows``, ascending, and their
-    ``minimal_corners`` (see _corner_matrix). Every array is read-only.
+    classes are expanded, into their ``minimal_corners`` (see _corner_matrix)
+    and their rows, ascending, which ``witness_rows`` follows with ``count``,
+    the row first_misses reports for a trial that misses no core. Every
+    array is read-only.
     """
 
     k: int
     span_vectors: np.ndarray
     starts: np.ndarray
-    minimal_rows: np.ndarray
+    witness_rows: np.ndarray
     minimal_corners: np.ndarray
 
     @property
     def count(self) -> int:
         """The number of feasible classes."""
         return int(self.starts[-1])
+
+    @property
+    def minimal_rows(self) -> np.ndarray:
+        """The table rows of the classes of minimal spans, ascending."""
+        return self.witness_rows[:-1]
 
     def block(self, j: int) -> np.ndarray:
         """The anchors of span vector j's classes, in table order, as a (classes, d) array."""
@@ -238,7 +245,7 @@ class ClassTable:
         its witness (see ClassTable).
         """
         first = _first_misses(numerators, self.k, self.minimal_corners)
-        return np.append(self.minimal_rows, self.count)[first]
+        return self.witness_rows[first]
 
     def trials_per_chunk(self, n: int) -> int:
         """Trials of n points per first_misses call, so that each of the kernel's arrays stays within CHUNK_ELEMENTS."""
@@ -473,7 +480,7 @@ def _class_table(k: int, d: int) -> ClassTable:
     starts = np.concatenate(([0], np.cumsum(np.prod(2**k - spans, axis=1))))
     heads = (np.cumsum(2**k - low) - (2**k - low))[minimal]
     owner, offsets, anchors = _expand(k, spans[heads])
-    rows = starts[heads][owner] + offsets
+    rows = np.append(starts[heads][owner] + offsets, starts[-1])
     corners = _corner_matrix(k, anchors, spans[heads], owner)
     for array in (spans, starts, rows):
         array.flags.writeable = False

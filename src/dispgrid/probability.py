@@ -9,9 +9,12 @@ enumerate, computes the exact failure probability as a rational number.
 Whether a point set leaves a large box empty depends only on its distinct
 points, so the exact value decides each support (set of distinct grid
 points) once and weights it by the number of ordered outcomes with exactly
-that support, a surjection count. Supports of fewer than 2^k - 1 points
-always fail and are counted without being listed; the others are decided
-by the certificate kernel, which is exact on grid sets at their own k.
+that support, a surjection count. A support that misses a grid value on
+some axis always fails: those of fewer than 2^k - 1 points are counted
+without being listed, and the others are listed in bulk, a kernel chunk at
+a time, so that only the supports taking every value on every axis are
+decided by the certificate kernel, which is exact on grid sets at their own
+k.
 """
 
 import itertools
@@ -224,19 +227,21 @@ def exact_failure_probability(k, d: int, n: int, *, limit: int | None = None) ->
     for the surj(n, s) = sum_j (-1)^j C(s, j) (s - j)^n ordered outcomes
     whose distinct points are exactly it.
 
-    A support of s < 2^k - 1 points fails without a test: on axis 0 it takes
-    at most s of the 2^k - 1 values, so it misses some value a there, and
-    with it the open box (a - 1, a + 1) / 2^k x (0, 1)^(d-1), whose volume
-    2^(1-k) exceeds 2^-k. So the C(g^d, s) supports of each such size, g^d
-    being the number of grid points, all count as failures, and below
-    n = 2^k - 1 the chance is 1 without building anything. Each larger
-    support is padded to n points by repeating its first point and
-    certified in the Monte Carlo chunks of the certificate kernel,
+    A support that misses some value a of 1 .. 2^k - 1 on some axis fails
+    without a test: it leaves empty the open slab (a - 1, a + 1) / 2^k on
+    that axis, whose volume 2^(1-k) exceeds 2^-k. Every support of
+    s < 2^k - 1 points misses a value on axis 0, so the C(g^d, s) supports
+    of each such size, g^d being the number of grid points, all count as
+    failures, and below n = 2^k - 1 the chance is 1 without building
+    anything. The larger supports are listed in bulk, one kernel chunk at a
+    time (see _covering_supports), and only those that take every value on
+    every axis are certified by the certificate kernel,
     ClassTable.first_misses: on a grid set at its own k the certificate
     fails exactly when some box of volume above 2^-k is empty (see
-    ``certify_dispersion``). ``limit`` guards the ordered
-    outcomes first, also below n = 2^k - 1; at n >= 2^k - 1 it then guards
-    the class table and the full grid.
+    ``certify_dispersion``). The supports that pass are tallied per size,
+    and all others of that size fail. ``limit`` guards the ordered outcomes
+    first, also below n = 2^k - 1; at n >= 2^k - 1 it then guards the class
+    table and the full grid.
     """
     kk = require_k(k)
     if d < 1 or n < 1:
@@ -250,20 +255,82 @@ def exact_failure_probability(k, d: int, n: int, *, limit: int | None = None) ->
     # surj(n, s), the ordered n-tuples whose distinct points are exactly one s-point support
     weights = [sum((-1) ** j * math.comb(s, j) * (s - j) ** n for j in range(s + 1))
                for s in range(top + 1)]
-    # every support of fewer than g points misses a value on axis 0
-    failures = sum(math.comb(cells, s) * weights[s] for s in range(1, min(top, g - 1) + 1))
-    if n < g:
-        return Fraction(failures, total)
-
-    table = feasible_class_table(kk, d, limit=limit)
-    grid = full_grid(kk, d, limit=limit).points
-    supports = itertools.chain.from_iterable(
-        itertools.combinations(range(cells), s) for s in range(g, top + 1)
-    )
-    chunk = table.trials_per_chunk(n)
-    while batch := list(itertools.islice(supports, chunk)):
-        padded = itertools.chain.from_iterable(p + p[:1] * (n - len(p)) for p in batch)
-        picks = np.fromiter(padded, dtype=np.int64, count=len(batch) * n).reshape(-1, n)
-        missed = table.first_misses(grid[picks]) < table.count
-        failures += sum(weights[len(p)] for p, miss in zip(batch, missed.tolist()) if miss)
+    # the supports of each size that hit every core; below g points there are none
+    passed = np.zeros(top + 1, dtype=np.int64)
+    if n >= g:
+        table = feasible_class_table(kk, d, limit=limit)
+        grid = full_grid(kk, d, limit=limit).points
+        # no larger than all the supports, so that a small instance allocates little
+        rows = min(table.trials_per_chunk(top), sum(math.comb(cells, s) for s in range(g, top + 1)))
+        for nums, sizes in _covering_supports(grid, g, top, rows):
+            hit = table.first_misses(nums) == table.count
+            passed += np.bincount(sizes[hit], minlength=top + 1)
+    failures = sum((math.comb(cells, s) - int(passed[s])) * weights[s] for s in range(1, top + 1))
     return Fraction(failures, total)
+
+
+def _covering_supports(grid: np.ndarray, g: int, top: int, rows: int):
+    """The supports of g .. top grid points that take every value 1 .. g on every axis, as chunks of `rows` for the certificate kernel.
+
+    Yields each chunk's numerators, a (rows, top, d) array in which a support
+    of s < top points repeats its first point, and each support's size;
+    only the last chunk may hold fewer. The supports are listed by size,
+    then lexicographically, `rows` at a time into one index buffer padded in
+    place, which may span several sizes; those that cover every value move
+    on to a queue, which passes on a chunk whenever it holds one. So no more
+    than three chunks' worth of supports are held at once, however many
+    there are. Each chunk's sizes are overwritten by the next chunk.
+    """
+    cells, d = grid.shape
+    # the bit of each grid point's value on each axis, packed into bytes
+    masks = np.packbits((grid[:, :, None] == np.arange(1, g + 1)).reshape(cells, d * g), axis=1)
+    full = np.packbits(np.ones(d * g, dtype=bool))
+    queue = np.empty((2 * rows, top), dtype=np.int64)
+    queued = np.empty(2 * rows, dtype=np.int64)
+    held = 0
+    for picks, sizes in _support_chunks(cells, g, top, rows):
+        seen = masks.take(picks[:, 0], axis=0)
+        for column in range(1, top):
+            seen |= masks.take(picks[:, column], axis=0)
+        keep = (seen == full).all(axis=1)
+        more = int(np.count_nonzero(keep))
+        queue[held : held + more] = picks[keep]
+        queued[held : held + more] = sizes[keep]
+        held += more
+        if held >= rows:
+            yield grid.take(queue[:rows], axis=0), queued[:rows]
+            held -= rows
+            queue[:held] = queue[rows : rows + held]
+            queued[:held] = queued[rows : rows + held]
+    if held:
+        yield grid.take(queue[:held], axis=0), queued[:held]
+
+
+def _support_chunks(cells: int, low: int, top: int, rows: int):
+    """Every support of low .. top of `cells` grid points, by size, then lexicographically, as (rows, top) index arrays and each row's size.
+
+    A row of s < top points repeats its first point. Each size's supports
+    are filled in by one np.fromiter per chunk they reach, so a chunk may
+    span several sizes; only the last chunk may hold fewer rows. The arrays
+    yielded are overwritten by the next chunk.
+    """
+    picks = np.empty((rows, top), dtype=np.int64)
+    size = np.empty(rows, dtype=np.int64)
+    fill = 0
+    for s in range(low, top + 1):
+        supports = itertools.combinations(range(cells), s)
+        left = math.comb(cells, s)
+        while left:
+            take = min(rows - fill, left)
+            part = picks[fill : fill + take]
+            flat = itertools.chain.from_iterable(itertools.islice(supports, take))
+            part[:, :s] = np.fromiter(flat, dtype=np.int64, count=take * s).reshape(take, s)
+            part[:, s:] = part[:, :1]
+            size[fill : fill + take] = s
+            fill += take
+            left -= take
+            if fill == rows:
+                yield picks, size
+                fill = 0
+    if fill:
+        yield picks[:fill], size[:fill]

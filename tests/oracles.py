@@ -4,8 +4,9 @@ Each oracle recomputes a quantity by a different route than the library:
 plain unpruned and shrunken closed-box scans and a recursive pruned bitmask
 scan and the former pair-enumerating block scan for the dispersion,
 inclusion-exclusion surjection counts, a
-per-outcome empty-box search and the former batched candidate-box count over
-every support for exact failure probabilities, grid
+per-outcome empty-box search, the former batched candidate-box count over
+every support and the former one-support-at-a-time certificate loop for
+exact failure probabilities, grid
 enumeration for hit probabilities, a per-class loop over rebuilt classes
 for the hit-probability audit, classification of a fine mesh of boxes
 and a per-class feasibility walk for the feasible class set, a filter of
@@ -53,7 +54,7 @@ from dispgrid.guards import (
     DEFAULT_OUTCOME_LIMIT,
     check_enumeration,
 )
-from dispgrid.partition import BLOCK_CLASSES, _prefix_sums
+from dispgrid.partition import BLOCK_CLASSES, _prefix_sums, feasible_class_table
 from dispgrid.probability import HitProbabilityAudit
 
 # Supports (padded to n points) handed to ``batch_has_empty_box_above`` at once
@@ -378,6 +379,45 @@ def reference_exact_failure_probability(k, d: int, n: int, *, limit: int | None 
         picks = np.fromiter(padded, dtype=np.int64, count=len(chunk) * n).reshape(-1, n)
         found = batch_has_empty_box_above(grid[picks], m, m ** (d - 1), limit=limit)
         failures += sum(weights[len(p)] for p, hit in zip(chunk, found.tolist()) if hit)
+    return Fraction(failures, total)
+
+
+def support_loop_failure_probability(k, d: int, n: int, *, limit: int | None = None) -> Fraction:
+    """Exact failure probability by certifying every support of 2^k - 1 or more points, one support at a time.
+
+    The library's former loop: the supports of fewer than 2^k - 1 points
+    fail in a closed sum; each larger one is built as a tuple, padded to n
+    points by repeating its first point, certified in chunks of the
+    certificate kernel and weighted one at a time by its surjection count.
+    """
+    kk = require_k(k)
+    if d < 1 or n < 1:
+        raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
+    g = 2**kk - 1
+    total = (g**d) ** n
+    check_enumeration("failure-probability outcomes", total, limit, DEFAULT_OUTCOME_LIMIT)
+
+    cells = g**d
+    top = min(n, cells)
+    # surj(n, s), the ordered n-tuples whose distinct points are exactly one s-point support
+    weights = [sum((-1) ** j * math.comb(s, j) * (s - j) ** n for j in range(s + 1))
+               for s in range(top + 1)]
+    # every support of fewer than g points misses a value on axis 0
+    failures = sum(math.comb(cells, s) * weights[s] for s in range(1, min(top, g - 1) + 1))
+    if n < g:
+        return Fraction(failures, total)
+
+    table = feasible_class_table(kk, d, limit=limit)
+    grid = full_grid(kk, d, limit=limit).points
+    supports = itertools.chain.from_iterable(
+        itertools.combinations(range(cells), s) for s in range(g, top + 1)
+    )
+    chunk = table.trials_per_chunk(n)
+    while batch := list(itertools.islice(supports, chunk)):
+        padded = itertools.chain.from_iterable(p + p[:1] * (n - len(p)) for p in batch)
+        picks = np.fromiter(padded, dtype=np.int64, count=len(batch) * n).reshape(-1, n)
+        missed = table.first_misses(grid[picks]) < table.count
+        failures += sum(weights[len(p)] for p, miss in zip(batch, missed.tolist()) if miss)
     return Fraction(failures, total)
 
 

@@ -427,9 +427,23 @@ class TestEnumeration:
     def test_cached_table_is_read_only(self):
         table = feasible_class_table(2, 2)
         assert feasible_class_table(2, 2) is table
-        for array in (table.span_vectors, table.starts, table.minimal_rows, table.minimal_corners):
+        arrays = (table.span_vectors, table.starts, table.witness_rows, table.minimal_rows,
+                  table.minimal_corners)
+        for array in arrays:
             with pytest.raises(ValueError):
                 array[0] = 3
+
+    @pytest.mark.parametrize("k,d", [(2, 3), (3, 2)])
+    def test_witness_rows_are_built_with_the_table(self, k, d, monkeypatch):
+        # the minimal rows followed by the count, read by first_misses without a copy
+        table = feasible_class_table(k, d)
+        assert table.witness_rows[-1] == table.count
+        assert np.shares_memory(table.minimal_rows, table.witness_rows)
+        full = np.indices((2**k - 1,) * d).reshape(d, -1).T + 1
+        sets = np.stack((full, np.ones_like(full)))
+        monkeypatch.setattr(np, "append", lambda *_, **__: pytest.fail("row lookup rebuilt"))
+        passed, missed = table.first_misses(sets).tolist()
+        assert passed == table.count and missed in table.minimal_rows.tolist()
 
     @pytest.mark.parametrize("k,d", [(2, 1), (2, 2), (3, 2)])
     def test_volume_sandwich_on_members(self, k, d):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,33 @@ from oracles import (
     per_outcome_failure_probability,
     reference_exact_failure_probability,
     reference_hit_audit,
+    support_loop_failure_probability,
 )
+
+
+def covering_supports(k, d, low, top):
+    """Every support of low .. top grid points that takes each value 1 .. 2^k - 1 on each axis."""
+    values = set(range(1, 2**k))
+    grid = list(itertools.product(sorted(values), repeat=d))
+    return [
+        frozenset(support)
+        for s in range(low, top + 1)
+        for support in itertools.combinations(grid, s)
+        if all({p[axis] for p in support} == values for axis in range(d))
+    ]
+
+
+def spy_first_misses(monkeypatch):
+    """Record, per ClassTable.first_misses call, each trial's set of distinct points."""
+    calls = []
+    kernel = ClassTable.first_misses
+
+    def counting(table, numerators):
+        calls.append([frozenset(map(tuple, rows)) for rows in numerators.tolist()])
+        return kernel(table, numerators)
+
+    monkeypatch.setattr(ClassTable, "first_misses", counting)
+    return calls
 
 
 class TestHitProbability:
@@ -243,19 +270,35 @@ class TestExactFailureProbability:
     def test_benchmark_instance_value(self):
         assert exact_failure_probability(2, 2, 7) == Fraction(1406723, 1594323)
 
-    def test_each_support_tested_once(self, monkeypatch):
-        # the 456 supports of 3 to 7 of the 9 grid points, against 6,435 multisets of 7;
-        # the 45 supports of one or two points fail without a test
-        tested = []
-        kernel = ClassTable.first_misses
+    @pytest.mark.parametrize(
+        "k,d,n,covering",
+        # (2, 2, 7): 255 of the 456 supports of 3 to 7 of the 9 grid points, against
+        # 6,435 multisets of 7; (2, 4, 3): 216 = 6^4 / 3! of 85,320 supports of 3 points
+        [(2, 2, 7, 255), (2, 2, 4, 51), (2, 3, 4, 1926), (2, 4, 3, 216), (3, 1, 8, 1)],
+    )
+    def test_each_support_tested_once(self, k, d, n, covering, monkeypatch):
+        # a support reaches the kernel exactly when it takes every value on every axis;
+        # every other one misses a value, so an empty slab of volume 2^(1-k), and fails untested
+        calls = spy_first_misses(monkeypatch)
+        exact_failure_probability(k, d, n)
+        tested = list(itertools.chain.from_iterable(calls))
+        want = covering_supports(k, d, 2**k - 1, min(n, (2**k - 1) ** d))
+        assert len(tested) == len(set(tested)) == len(want) == covering
+        assert set(tested) == set(want)
 
-        def counting(table, numerators):
-            tested.extend(frozenset(map(tuple, rows)) for rows in numerators.tolist())
-            return kernel(table, numerators)
-
-        monkeypatch.setattr(ClassTable, "first_misses", counting)
-        exact_failure_probability(2, 2, 7)
-        assert len(tested) == len(set(tested)) == sum(math.comb(9, s) for s in range(3, 8)) == 456
+    @pytest.mark.parametrize("chunk", [4, 10])
+    def test_chunk_mixes_support_sizes(self, chunk, monkeypatch):
+        # (2, 2, 6): covering supports of 3 to 6 points, filled into one chunk across sizes
+        want = support_loop_failure_probability(2, 2, 6)
+        corners = feasible_class_table(2, 2).minimal_corners
+        monkeypatch.setattr(partition, "CHUNK_ELEMENTS", chunk * max(len(corners), 10, 12))
+        calls = spy_first_misses(monkeypatch)
+        assert exact_failure_probability(2, 2, 6) == want
+        sizes = [[len(support) for support in call] for call in calls]
+        assert all(len(call) == chunk for call in sizes[:-1]) and 0 < len(sizes[-1]) <= chunk
+        assert any(len(set(call)) > 1 for call in sizes)
+        flat = list(itertools.chain.from_iterable(sizes))
+        assert flat == sorted(flat)
 
     @pytest.mark.parametrize("k,d,n", [(2, 2, 4), (2, 2, 7)])
     @pytest.mark.parametrize("chunk", [1, 3, 5, 7])
@@ -275,3 +318,31 @@ class TestExactFailureProbability:
         monkeypatch.setattr(ClassTable, "first_misses", counting)
         assert exact_failure_probability(k, d, n) == want
         assert max(sizes) == chunk and len(sizes) == -(-sum(sizes) // chunk)
+
+    @pytest.mark.parametrize(
+        "k,d,n",
+        [(2, 1, 3), (2, 1, 4), (2, 1, 5), (2, 1, 6), (2, 2, 3), (2, 2, 4), (2, 2, 5), (2, 2, 6),
+         (2, 2, 7), (2, 3, 3), (2, 3, 4), (2, 4, 3), (3, 1, 7), (3, 1, 8)],
+    )
+    def test_matches_support_loop(self, k, d, n):
+        assert exact_failure_probability(k, d, n) == support_loop_failure_probability(k, d, n)
+
+    @pytest.mark.parametrize("k,d,n,limit", [(2, 3, 5, 27**5), (2, 2, 9, 9**9)])
+    def test_matches_support_loop_at_a_raised_limit(self, k, d, n, limit):
+        with pytest.raises(GuardExceeded):
+            exact_failure_probability(k, d, n)
+        got = exact_failure_probability(k, d, n, limit=limit)
+        assert got == support_loop_failure_probability(k, d, n, limit=limit)
+
+    def test_memory_stays_within_a_few_chunks(self):
+        # 101,205 supports of 3 to 5 of the 27 grid points, padded to 5 points of 3
+        # numerators, would take ~12 MB as int64 at once
+        feasible_class_table(2, 3)
+        tracemalloc.start()
+        try:
+            assert exact_failure_probability(2, 3, 5, limit=27**5) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(math.comb(27, s) for s in range(3, 6)) * 5 * 3 * 8 > 12 * 10**6
+        assert peak < 4 * 2**20
