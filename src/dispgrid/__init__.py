@@ -13,7 +13,6 @@ from .bounds import (
     bounds_table,
     dispersion_lower_bound,
     dispersion_upper_bound,
-    fit_sqrt_form_constant,
     n_required,
     points_for_dispersion,
     points_for_dispersion_coarse,
@@ -47,8 +46,6 @@ from .grid import (
     REAL_REPR,
     GridParams,
     PointSet,
-    epsilon_range,
-    grid_values,
     k_from_epsilon,
 )
 from .guards import GuardExceeded
@@ -61,19 +58,16 @@ from .partition import (
     count_audit,
     enumerate_feasible_classes,
     ln_class_count_bound,
-    ln_span_count_bound,
     short_side_threshold,
 )
 from .pointset_io import PointSetParseError, read_point_set, write_point_set
 from .probability import (
     FactorInequalityCheck,
-    FailureBoundReport,
     HitProbabilityAudit,
     audit_hit_probabilities,
     check_hit_factor_inequality,
     class_miss_probability_bound,
     exact_failure_probability,
-    failure_bound_report,
     hit_factor_lhs,
     hit_probability,
     ln_union_failure_bound,
@@ -95,7 +89,6 @@ __all__ = [
     "CountAudit",
     "DispersionResult",
     "FactorInequalityCheck",
-    "FailureBoundReport",
     "GeneratedSet",
     "GridParams",
     "GuardExceeded",
@@ -118,20 +111,15 @@ __all__ = [
     "dispersion_upper_bound",
     "empirical_min_n",
     "enumerate_feasible_classes",
-    "epsilon_range",
     "exact_failure_probability",
-    "failure_bound_report",
-    "fit_sqrt_form_constant",
     "full_grid",
     "generate_certified",
-    "grid_values",
     "has_empty_box_above",
     "hit_factor_lhs",
     "hit_probability",
     "k_from_epsilon",
     "largest_empty_box",
     "ln_class_count_bound",
-    "ln_span_count_bound",
     "ln_union_failure_bound",
     "ln_union_failure_bound_crude",
     "min_hit_probability_bound",

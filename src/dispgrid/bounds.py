@@ -36,9 +36,9 @@ def _check_d(d: int, minimum: int = 2) -> int:
 def n_required(k, d: int) -> int:
     """Grid-level sample size ceil(2^4 k 2^(2k) log2(2^(k+1) d)).
 
-    Any n at or above this value drives the log-space union failure bound
-    below zero, so a certified point set of that size exists. Defined for
-    d >= 1.
+    The source paper's n: at and above it ln_union_failure_bound is negative,
+    so a certified set of n grid points exists, for every k >= 2 and d >= 1
+    at which ln_class_count_bound holds.
     """
     kk = require_k(k)
     _check_d(d, minimum=1)
@@ -46,28 +46,31 @@ def n_required(k, d: int) -> int:
 
 
 def points_for_dispersion(eps, d: int) -> float:
-    """Main sufficient point count 2^7 log2(d) (1 + log2(1/eps))^2 / eps^2."""
+    """The paper's main sufficient count 2^7 log2(d) (1 + log2(1/eps))^2 / eps^2, for eps in (0, 1/2), d >= 2."""
     e = _check_eps(eps)
     _check_d(d)
     return 2**7 * math.log2(d) * (1.0 + math.log2(1.0 / e)) ** 2 / e**2
 
 
 def points_for_dispersion_coarse(eps, d: int) -> float:
-    """Coarser form 2^9 log2(d) (log2(1/eps)/eps)^2; dominates the main bound."""
+    """The paper's stated N, 2^9 log2(d) (log2(1/eps)/eps)^2, for eps in (0, 1/2), d >= 2; dominates the main bound."""
     e = _check_eps(eps)
     _check_d(d)
     return 2**9 * math.log2(d) * (math.log2(1.0 / e) / e) ** 2
 
 
 def points_for_dispersion_lineardim(eps, d: int) -> float:
-    """Dimension-linear variant 2^6 d (1 + log2(1/eps)) / eps."""
+    """Dimension-linear variant 2^6 d (1 + log2(1/eps)) / eps, the crude union bound's n, for eps in (0, 1/2), d >= 2."""
     e = _check_eps(eps)
     _check_d(d)
     return 2**6 * d * (1.0 + math.log2(1.0 / e)) / e
 
 
 def dispersion_lower_bound(n: int, d: int) -> float:
-    """Known lower bound log2(d) / (4 (n + log2(d))) on the minimal dispersion."""
+    """Known lower bound log2(d) / (4 (n + log2(d))) on the minimal dispersion.
+
+    Aistleitner, Hinrichs & Rudolf (2017): it holds for every set of n >= 1 points in d >= 2.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     _check_d(d)
@@ -78,9 +81,10 @@ def dispersion_lower_bound(n: int, d: int) -> float:
 def dispersion_upper_bound(n: int, d: int) -> float:
     """Smallest eps (to relative precision UPPER_BOUND_REL_TOL) whose main point count fits in n.
 
-    The main bound is strictly decreasing in eps on (0, 1/2), so a bisection
-    is well defined. When even eps just below 1/2 needs more than n points,
-    the vacuous bound 1/2 is returned.
+    Some set of n points has at most this dispersion (n >= 1, d >= 2). The
+    main bound is strictly decreasing in eps on (0, 1/2), so a bisection is
+    well defined. When even eps just below 1/2 needs more than n points, the
+    vacuous bound 1/2 is returned.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -103,21 +107,6 @@ def dispersion_upper_bound(n: int, d: int) -> float:
         else:
             lo = mid
     return hi
-
-
-def fit_sqrt_form_constant(n_list, d_list) -> float:
-    """Smallest c with dispersion_upper_bound(n,d) <= c log2(n) sqrt(log2(d)/n) on a grid.
-
-    Diagnostic only: the constant in the sqrt-form restatement of the main
-    bound is not pinned analytically, so it is fitted over the given grid
-    rather than hard-coded.
-    """
-    best = 0.0
-    for d in d_list:
-        for n in n_list:
-            denom = math.log2(n) * math.sqrt(math.log2(d) / n)
-            best = max(best, dispersion_upper_bound(n, d) / denom)
-    return best
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .guards import DEFAULT_ENUMERATION_LIMIT, check_enumeration
-
 MIN_K = 2
 
 GRID_REPR = "grid"
@@ -30,11 +28,6 @@ class GridParams:
     def __post_init__(self):
         if not isinstance(self.k, int) or self.k < MIN_K:
             raise ValueError(f"grid resolution k must be an integer >= {MIN_K}, got {self.k!r}")
-
-    @property
-    def m(self) -> int:
-        """The denominator 2^k."""
-        return 2**self.k
 
 
 def require_k(k) -> int:
@@ -71,20 +64,6 @@ def k_from_epsilon(eps) -> GridParams:
     while e < Fraction(1, 2**k):
         k += 1
     return GridParams(k)
-
-
-def epsilon_range(k) -> tuple[Fraction, Fraction]:
-    """Half-open interval [2^-k, 2^-(k-1)) of accuracies mapping to resolution k."""
-    kk = require_k(k)
-    return Fraction(1, 2**kk), Fraction(1, 2 ** (kk - 1))
-
-
-def grid_values(k, *, limit: int | None = None) -> list[Fraction]:
-    """The 2^k - 1 grid values a/2^k in increasing order."""
-    kk = require_k(k)
-    m = 2**kk
-    check_enumeration("grid values", m - 1, limit, DEFAULT_ENUMERATION_LIMIT)
-    return [Fraction(a, m) for a in range(1, m)]
 
 
 @dataclass(frozen=True, eq=False)

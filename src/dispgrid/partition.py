@@ -111,28 +111,19 @@ class BoxClass:
         m = 2**self.k
         return sum(1 for s in self.span if s < m - 1)
 
-    def max_volume(self) -> Fraction:
-        """Largest volume attainable by a member box, as an exact rational.
-
-        Per axis the length is capped both by the bucket, (span+1)/2^k, and
-        by the room left of 1 from the lowest infimum, (2^k - anchor + 1)/2^k.
-        """
-        m = 2**self.k
-        num = math.prod(min(s + 1, m - a + 1) for a, s in zip(self.anchor, self.span))
-        return Fraction(num, m**self.dim)
-
     def is_feasible(self) -> bool:
         """Whether the class contains any box of volume above 2^-k.
 
-        Requires every span to be at least 1, every anchor to leave room for
-        a side longer than span/2^k inside [0,1] (anchor <= 2^k - span), and
-        the attainable maximum volume to exceed 2^-k strictly.
+        Requires every span to be at least 1 and every anchor to leave room
+        for a side longer than span/2^k inside [0,1] (anchor <= 2^k - span);
+        then each side reaches (span + 1)/2^k, so the largest member volume
+        prod(span + 1)/2^(kd) must exceed 2^-k.
         """
         m = 2**self.k
         for a, s in zip(self.anchor, self.span):
             if s < 1 or a > m - s:
                 return False
-        return self.max_volume() > Fraction(1, m)
+        return math.prod(s + 1 for s in self.span) > m ** (self.dim - 1)
 
     def core_box(self) -> CoreBox:
         """The closed box [anchor, anchor + (span-1)/2^k] per axis."""
@@ -157,7 +148,7 @@ class BoxClass:
 
 
 def short_side_threshold(k) -> float:
-    """Strict upper bound ln(2) * k * 2^k on the short-side count of any feasible class."""
+    """Strict upper bound ln(2) * k * 2^k on the short-side count of any feasible class, for every k and d."""
     kk = require_k(k)
     return math.log(2) * kk * 2**kk
 
@@ -220,11 +211,6 @@ class ClassTable:
     def count(self) -> int:
         """The number of feasible classes."""
         return int(self.starts[-1])
-
-    @property
-    def minimal_rows(self) -> np.ndarray:
-        """The table rows of the classes of minimal spans, ascending."""
-        return self.witness_rows[:-1]
 
     def block(self, j: int) -> np.ndarray:
         """The anchors of span vector j's classes, in table order, as a (classes, d) array."""
@@ -499,9 +485,9 @@ def anchor_formula_count(k, d: int) -> int:
     """Sum of the per-axis anchor counts over all spans with every side >= 1.
 
     Factorizes as (sum_{s=1}^{2^k-1} (2^k - s))^d = (2^(k-1) (2^k - 1))^d.
-    Counts (anchor, span) pairs by the per-axis rule alone; spans whose
-    classes all fail the volume condition are still included, so this may
-    exceed the exact feasible-class count in dimension 2 and up.
+    Counts (anchor, span) pairs by the per-axis rule alone, so for every k
+    and d it lies between the feasible-class count (equal at d = 1) and the
+    2^(2kd) pairs that ln_union_failure_bound_crude counts.
     """
     kk = require_k(k)
     if d < 1:
@@ -510,16 +496,8 @@ def anchor_formula_count(k, d: int) -> int:
     return (m * (m - 1) // 2) ** d
 
 
-def ln_span_count_bound(k, d: int) -> float:
-    """Natural log of the span-count bound (4d/k)^(ln(2) k 2^k)."""
-    kk = require_k(k)
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
-    return short_side_threshold(kk) * math.log(4 * d / kk)
-
-
 def ln_class_count_bound(k, d: int) -> float:
-    """Natural log of the class-count bound 2^(k 2^k log2(2^(k+1) d))."""
+    """Natural log of the paper's feasible-class bound 2^(k 2^k log2(2^(k+1) d)); tested up to k = 4, not proved."""
     kk = require_k(k)
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")

@@ -45,13 +45,13 @@ def hit_probability(cls: BoxClass) -> Fraction:
 
 
 def min_hit_probability_bound(k) -> Fraction:
-    """Uniform lower bound 2^-(k+4) on the hit probability of feasible classes."""
+    """The paper's uniform lower bound 2^-(k+4) on the hit probability of feasible classes; audited per (k, d)."""
     kk = require_k(k)
     return Fraction(1, 2 ** (kk + 4))
 
 
 def class_miss_probability_bound(k) -> float:
-    """Upper bound exp(-2^-(k+4)) on the chance of missing some class's core."""
+    """Upper bound exp(-2^-(k+4)) on the chance of missing some class's core, where min_hit_probability_bound holds."""
     kk = require_k(k)
     return math.exp(-(2.0 ** -(kk + 4)))
 
@@ -145,9 +145,10 @@ class FactorInequalityCheck:
 def check_hit_factor_inequality(k) -> FactorInequalityCheck:
     """Check min_j j/(j+1)^(k/(k-1)) >= (2^k - 1) 2^(-k^2/(k-1)) (1 - 1/(k 2^k)).
 
-    Evaluates the left side for every j = 1 .. 2^k - 2 (the minimum sits at
-    one of the endpoints, since the map is unimodal with an interior
-    maximum) and reports the minimizing j and the margin.
+    The per-axis step of the paper's hit-probability bound; it holds for k =
+    2 .. 20 (tested). Evaluates the left side for every j = 1 .. 2^k - 2 (the
+    minimum sits at one of the endpoints, since the map is unimodal with an
+    interior maximum) and reports the minimizing j and the margin.
     """
     kk = require_k(k)
     lhs = hit_factor_lhs(kk, np.arange(1, 2**kk - 1, dtype=np.float64))
@@ -168,7 +169,8 @@ def ln_union_failure_bound(k, d: int, n: int) -> float:
 
         ln bound = ln(2) k 2^k log2(2^(k+1) d) - n 2^-(k+4).
 
-    Negative means a point set intersecting every large box exists.
+    It bounds ln P(fail) wherever ln_class_count_bound and min_hit_probability_bound
+    hold. Negative means a point set intersecting every large box exists.
     """
     kk = require_k(k)
     if d < 1 or n < 0:
@@ -181,41 +183,13 @@ def ln_union_failure_bound_crude(k, d: int, n: int) -> float:
 
     Counts every (anchor, span) pair instead of only spans with few short
     sides; smaller than the main bound once the short-side threshold
-    exceeds d.
+    exceeds d. As 2^(2kd) >= anchor_formula_count, it bounds ln P(fail)
+    wherever min_hit_probability_bound holds.
     """
     kk = require_k(k)
     if d < 1 or n < 0:
         raise ValueError(f"need d >= 1 and n >= 0, got d={d}, n={n}")
     return 2.0 * kk * d * math.log(2) - n * 2.0 ** -(kk + 4)
-
-
-@dataclass(frozen=True)
-class FailureBoundReport:
-    """Both failure bounds at one (k, d, n), with the n making each drop below 1."""
-
-    k: int
-    d: int
-    n: int
-    ln_union_bound: float
-    ln_crude_bound: float
-    n_union_below_one: int
-    n_crude_below_one: int
-
-
-def failure_bound_report(k, d: int, n: int) -> FailureBoundReport:
-    kk = require_k(k)
-    scale = 2.0 ** (kk + 4)
-    union_at_zero = ln_union_failure_bound(kk, d, 0)
-    crude_at_zero = ln_union_failure_bound_crude(kk, d, 0)
-    return FailureBoundReport(
-        k=kk,
-        d=d,
-        n=n,
-        ln_union_bound=ln_union_failure_bound(kk, d, n),
-        ln_crude_bound=ln_union_failure_bound_crude(kk, d, n),
-        n_union_below_one=math.floor(union_at_zero * scale) + 1,
-        n_crude_below_one=math.floor(crude_at_zero * scale) + 1,
-    )
 
 
 def exact_failure_probability(k, d: int, n: int, *, limit: int | None = None) -> Fraction:

@@ -442,6 +442,25 @@ def brute_force_hit_probability(core, k: int, d: int) -> Fraction:
     return Fraction(hits, g**d)
 
 
+def reference_max_volume(cls: BoxClass) -> Fraction:
+    """Largest volume of a member box of the class, as an exact rational.
+
+    Per axis the length is capped both by the bucket, (span + 1)/2^k, and by
+    the room left of 1 from the lowest infimum, (2^k - anchor + 1)/2^k.
+    """
+    m = 2**cls.k
+    num = math.prod(min(s + 1, m - a + 1) for a, s in zip(cls.anchor, cls.span))
+    return Fraction(num, m**cls.dim)
+
+
+def reference_is_feasible(cls: BoxClass) -> bool:
+    """Feasibility from the capped maximum volume: spans >= 1, anchors <= 2^k - span, and volume above 2^-k."""
+    m = 2**cls.k
+    if any(s < 1 or a > m - s for a, s in zip(cls.anchor, cls.span)):
+        return False
+    return reference_max_volume(cls) > Fraction(1, m)
+
+
 def reference_hit_audit(k: int, d: int) -> HitProbabilityAudit:
     """Hit-probability audit by a per-class loop with exact rationals.
 
@@ -465,7 +484,7 @@ def reference_hit_audit(k: int, d: int) -> HitProbabilityAudit:
             min_hit, argmin = hp, cls
         if not hp > bound:
             violations.append((cls, "hit probability not above 2^-(k+4)"))
-        chain = shrink**cls.short_sides * float(cls.max_volume()) ** exponent
+        chain = shrink**cls.short_sides * float(reference_max_volume(cls)) ** exponent
         if not float(hp) >= chain - probability.CHAIN_SLACK:
             violations.append((cls, "intermediate chain inequality"))
         if not 1.0 - float(hp) < miss_bound:
@@ -517,14 +536,14 @@ def reference_feasible_classes(k: int, d: int):
     """Feasible classes in (span, anchor) lexicographic order, one BoxClass at a time.
 
     Walks every span vector with sides 1 .. 2^k - 1 and, per span, every
-    anchor in 1 .. 2^k - span, keeping the classes whose exact rational
-    ``is_feasible`` holds.
+    anchor in 1 .. 2^k - span, keeping the classes that
+    ``reference_is_feasible`` admits.
     """
     m = 2**k
     for span in itertools.product(range(1, m), repeat=d):
         for anchor in itertools.product(*(range(1, m - s + 1) for s in span)):
             cls = BoxClass(k, anchor, span)
-            if cls.is_feasible():
+            if reference_is_feasible(cls):
                 yield cls
 
 

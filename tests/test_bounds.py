@@ -1,14 +1,19 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dispgrid import (
+    PointSet,
     bounds_table,
     dispersion_lower_bound,
     dispersion_upper_bound,
-    fit_sqrt_form_constant,
+    generate_certified,
+    k_from_epsilon,
+    largest_empty_box,
     ln_union_failure_bound,
+    ln_union_failure_bound_crude,
     n_required,
     points_for_dispersion,
     points_for_dispersion_coarse,
@@ -47,6 +52,13 @@ class TestClosedForms:
     def test_lineardim_at_quarter(self):
         assert points_for_dispersion_lineardim(Fraction(1, 4), 2) == 1536
 
+    def test_lineardim_drives_the_crude_union_bound_negative(self):
+        for eps in EPS_GRID:
+            k = k_from_epsilon(eps).k
+            for d in D_GRID:
+                n = math.ceil(points_for_dispersion_lineardim(eps, d))
+                assert ln_union_failure_bound_crude(k, d, n) < 0
+
     def test_domain_errors(self):
         for fn in (points_for_dispersion, points_for_dispersion_coarse,
                    points_for_dispersion_lineardim):
@@ -78,6 +90,20 @@ class TestDispersionLowerBound:
     def test_decreasing_in_n(self):
         values = [dispersion_lower_bound(n, 2) for n in (1, 10, 100, 1000, 10000)]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 5), (2, 20), (2, 50), (3, 1), (3, 8), (3, 20)])
+    def test_below_the_dispersion_of_real_sets(self, d, n):
+        # the bound holds for every set of n points, so for seeded uniform ones
+        rng = np.random.default_rng(1000 * d + n)
+        for _ in range(3):
+            points = PointSet.from_reals(d, rng.random((n, d)))
+            assert largest_empty_box(points).volume >= dispersion_lower_bound(n, d)
+
+    def test_below_the_dispersion_of_a_certified_set(self):
+        n = n_required(2, 4)
+        points = generate_certified(2, 4, n, seed=0).points
+        volume = largest_empty_box(points).volume
+        assert dispersion_lower_bound(n, 4) <= volume <= Fraction(1, 4)
 
 
 class TestDispersionUpperBound:
@@ -133,14 +159,3 @@ class TestBoundsTable:
         rows = bounds_table([Fraction(1, 4), Fraction(1, 10), Fraction(3, 10)], [2, 10, 100])
         for row in rows:
             assert row.n_logdim <= row.n_coarse
-
-
-class TestFitConstant:
-    def test_positive_and_stable(self):
-        c = fit_sqrt_form_constant([10**4, 10**5, 10**6], [2, 10, 100])
-        assert c > 0
-        # fitted c certifies the sqrt-form bound on the same grid
-        for n in (10**4, 10**5, 10**6):
-            for d in (2, 10, 100):
-                cap = c * math.log2(n) * math.sqrt(math.log2(d) / n)
-                assert dispersion_upper_bound(n, d) <= cap + 1e-12

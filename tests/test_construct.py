@@ -338,7 +338,7 @@ class TestCertificateKernel:
                 want = gray_code_first_misses(numerators, k, anchors, spans)
                 assert got.tolist() == want.tolist()
                 # the kernel's blocks run over the minimal classes only
-                misses = np.searchsorted(table.minimal_rows, got[got < table.count])
+                misses = np.searchsorted(table.witness_rows[:-1], got[got < table.count])
                 spread = max(spread, len(np.unique(misses // block)))
                 outcomes.update((want == len(anchors)).tolist())
         assert outcomes[True] > 0 and outcomes[False] > 0
@@ -408,7 +408,7 @@ class TestCertificateKernel:
         corners = partition._corner_matrix(2, anchors, spans, np.arange(len(spans)))
         depth = (anchors > 1).sum(axis=1)
         assert corners.shape == (len(anchors), 16) and depth.max() == 4
-        assert table.minimal_corners.shape == (len(table.minimal_rows), 16)
+        assert table.minimal_corners.shape == (len(table.witness_rows[:-1]), 16)
         zero_cell = 3**7  # the trailing cell past the grid cells, which no point fills
         for column in range(16):
             padding = column >> depth != 0
@@ -473,7 +473,7 @@ class TestPrefixKernel:
     def _check(table, numerators, anchors, spans) -> np.ndarray:
         got = table.first_misses(numerators)
         single = single_pass_first_misses(numerators, table.k, table.minimal_corners)
-        assert got.tolist() == np.append(table.minimal_rows, table.count)[single].tolist()
+        assert got.tolist() == table.witness_rows[single].tolist()
         assert got.tolist() == gray_code_first_misses(numerators, table.k, anchors, spans).tolist()
         return got
 

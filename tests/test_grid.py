@@ -8,12 +8,11 @@ from dispgrid import (
     GridParams,
     PointSet,
     certify_dispersion,
-    epsilon_range,
     full_grid,
-    grid_values,
     k_from_epsilon,
     read_point_set,
 )
+from dispgrid.grid import require_k
 from dispgrid.guards import GuardExceeded
 from dispgrid.pointset_io import PointSetParseError
 
@@ -41,8 +40,8 @@ class TestKFromEpsilon:
 
     @given(st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(499, 1000)))
     def test_round_trip(self, eps):
-        lo, hi = epsilon_range(k_from_epsilon(eps))
-        assert lo <= eps < hi
+        k = k_from_epsilon(eps).k
+        assert Fraction(1, 2**k) <= eps < Fraction(1, 2 ** (k - 1))
 
     def test_non_increasing_in_eps(self):
         eps_grid = [Fraction(i, 1000) for i in range(499, 0, -7)]
@@ -58,25 +57,29 @@ class TestEpsilonRange:
          (4, Fraction(1, 16), Fraction(1, 8))],
     )
     def test_values(self, k, lo, hi):
-        assert epsilon_range(k) == (lo, hi)
+        # the accuracies 2^-k <= eps < 2^-(k-1) map to k, and the next one down does not
+        for eps in (lo, (lo + hi) / 2, hi - Fraction(1, 2**20)):
+            assert k_from_epsilon(eps).k == k
+        assert k_from_epsilon(lo - Fraction(1, 2**20)).k == k + 1
 
     def test_rejects_small_k(self):
         with pytest.raises(ValueError):
-            epsilon_range(1)
+            require_k(1)
 
 
 class TestGridValues:
+    # the grid values a/2^k on one axis, as the points of the one-dimensional full grid
     def test_k2(self):
-        assert grid_values(2) == [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
+        assert list(full_grid(2, 1).values()) == [(Fraction(1, 4),), (Fraction(1, 2),), (Fraction(3, 4),)]
 
     def test_k3_count(self):
-        vals = grid_values(3)
+        vals = [v for (v,) in full_grid(3, 1).values()]
         assert len(vals) == 7
         assert vals[0] == Fraction(1, 8) and vals[-1] == Fraction(7, 8)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_strictly_increasing_uniform_gaps(self, k):
-        vals = grid_values(k)
+        vals = [v for (v,) in full_grid(k, 1).values()]
         assert len(vals) == 2**k - 1
         assert all(0 < v < 1 for v in vals)
         gaps = {b - a for a, b in zip(vals, vals[1:])}
@@ -84,13 +87,10 @@ class TestGridValues:
 
     def test_guard(self):
         with pytest.raises(GuardExceeded):
-            grid_values(40, limit=1000)
+            full_grid(40, 1, limit=1000)
 
 
 class TestGridParams:
-    def test_m_is_power_of_two(self):
-        assert GridParams(5).m == 32
-
     def test_rejects_k_below_two(self):
         with pytest.raises(ValueError):
             GridParams(1)

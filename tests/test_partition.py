@@ -16,7 +16,6 @@ from dispgrid import (
     count_audit,
     enumerate_feasible_classes,
     ln_class_count_bound,
-    ln_span_count_bound,
     sample_grid_points,
     short_side_threshold,
 )
@@ -33,6 +32,7 @@ from oracles import (
     reference_class_table,
     reference_feasible_classes,
     reference_feasible_spans,
+    reference_is_feasible,
 )
 
 
@@ -147,6 +147,18 @@ class TestFeasibility:
         # every span-(1,1) class maxes out at volume 1/4, not above it
         for a1, a2 in itertools.product(range(1, 4), repeat=2):
             assert not BoxClass(2, (a1, a2), (1, 1)).is_feasible()
+
+    @pytest.mark.parametrize("k,d", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+    def test_matches_the_capped_volume_form(self, k, d):
+        # every (anchor, span) pair, infeasible anchors and span 0 included
+        m = 2**k
+        verdicts = set()
+        for anchor in itertools.product(range(1, m), repeat=d):
+            for span in itertools.product(range(m), repeat=d):
+                cls = BoxClass(k, anchor, span)
+                verdicts.add(cls.is_feasible())
+                assert cls.is_feasible() == reference_is_feasible(cls), cls
+        assert verdicts == {True, False}
 
 
 class TestCoreBox:
@@ -313,7 +325,7 @@ class TestEnumeration:
         # the minimal classes' anchors and spans, expanded to build their
         # corner matrix; the larger stage decides, the span vectors at (2, 13)
         table = feasible_class_table(k, d)
-        entries = len(table.minimal_rows) * 2 * d + table.minimal_corners.size
+        entries = len(table.witness_rows[:-1]) * 2 * d + table.minimal_corners.size
         assert entries == table_entries(k, d)
         need = max((2**k - 1) ** d, entries)
         assert feasible_class_table(k, d, limit=need) is table
@@ -427,8 +439,7 @@ class TestEnumeration:
     def test_cached_table_is_read_only(self):
         table = feasible_class_table(2, 2)
         assert feasible_class_table(2, 2) is table
-        arrays = (table.span_vectors, table.starts, table.witness_rows, table.minimal_rows,
-                  table.minimal_corners)
+        arrays = (table.span_vectors, table.starts, table.witness_rows, table.minimal_corners)
         for array in arrays:
             with pytest.raises(ValueError):
                 array[0] = 3
@@ -438,12 +449,11 @@ class TestEnumeration:
         # the minimal rows followed by the count, read by first_misses without a copy
         table = feasible_class_table(k, d)
         assert table.witness_rows[-1] == table.count
-        assert np.shares_memory(table.minimal_rows, table.witness_rows)
         full = np.indices((2**k - 1,) * d).reshape(d, -1).T + 1
         sets = np.stack((full, np.ones_like(full)))
         monkeypatch.setattr(np, "append", lambda *_, **__: pytest.fail("row lookup rebuilt"))
         passed, missed = table.first_misses(sets).tolist()
-        assert passed == table.count and missed in table.minimal_rows.tolist()
+        assert passed == table.count and missed in table.witness_rows[:-1].tolist()
 
     @pytest.mark.parametrize("k,d", [(2, 1), (2, 2), (3, 2)])
     def test_volume_sandwich_on_members(self, k, d):
@@ -477,7 +487,7 @@ class TestMinimalCores:
         assert np.array_equal(cores_inside(k, lo, hi, lo, hi) == 1, keep)
         inside = cores_inside(k, lo, hi, lo[keep], hi[keep])
         assert (inside >= 1).all() and (inside[keep] == 1).all()
-        assert np.array_equal(table.minimal_rows, np.flatnonzero(keep))
+        assert np.array_equal(table.witness_rows[:-1], np.flatnonzero(keep))
         corners = partition._corner_matrix(k, anchors, spans, np.arange(len(spans)))
         assert np.array_equal(table.minimal_corners, corners[keep])
         assert table.minimal_corners.flags.f_contiguous
@@ -489,6 +499,9 @@ class TestMinimalCores:
     def test_minimal_counts(self, k, d, classes, minimal):
         table = feasible_class_table(k, d)
         assert (table.count, len(table.minimal_corners)) == (classes, minimal)
+
+
+COUNT_GRID = [(2, d) for d in range(1, 7)] + [(3, d) for d in range(1, 4)] + [(4, 1), (4, 2)]
 
 
 class TestCounts:
@@ -505,12 +518,13 @@ class TestCounts:
     def test_ln_class_count_bound_value(self):
         assert ln_class_count_bound(2, 2) == pytest.approx(32 * math.log(2), abs=1e-12)
 
-    def test_ln_span_count_bound_value(self):
-        expected = short_side_threshold(2) * math.log(4 * 2 / 2)
-        assert ln_span_count_bound(2, 2) == pytest.approx(expected, abs=1e-12)
-        assert ln_span_count_bound(2, 2) == pytest.approx(7.688, abs=5e-3)
+    @pytest.mark.parametrize("k,d", COUNT_GRID)
+    def test_anchor_formula_between_exact_and_crude_counts(self, k, d):
+        # the crude union bound counts 2^(2kd) classes: it stands on this sandwich
+        count = feasible_class_table(k, d).count
+        assert 2 ** (2 * k * d) >= anchor_formula_count(k, d) >= count
 
-    @pytest.mark.parametrize("k,d", [(2, 1), (2, 2), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("k,d", COUNT_GRID)
     def test_exact_count_below_class_count_bound(self, k, d):
         exact = sum(1 for _ in enumerate_feasible_classes(k, d))
         assert math.log(exact) <= ln_class_count_bound(k, d)

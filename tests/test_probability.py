@@ -13,7 +13,6 @@ from dispgrid import (
     class_miss_probability_bound,
     enumerate_feasible_classes,
     exact_failure_probability,
-    failure_bound_report,
     hit_factor_lhs,
     hit_probability,
     ln_union_failure_bound,
@@ -179,17 +178,6 @@ class TestFailureBounds:
     def test_crude_bound(self):
         value = ln_union_failure_bound_crude(2, 2, 2048)
         assert value == pytest.approx(8 * math.log(2) - 32, abs=1e-9)
-
-    def test_report_thresholds(self):
-        report = failure_bound_report(2, 2, 2048)
-        assert report.ln_union_bound < 0
-        # smallest n pushing each bound below 1
-        for n_min, fn in [
-            (report.n_union_below_one, ln_union_failure_bound),
-            (report.n_crude_below_one, ln_union_failure_bound_crude),
-        ]:
-            assert fn(2, 2, n_min) < 0
-            assert fn(2, 2, n_min - 1) >= 0
 
 
 class TestExactFailureProbability:
