@@ -209,8 +209,8 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
-def _search(points: PointSet, best, limit: int | None):
-    """Empty candidate box of largest volume strictly above `best`, in scan units.
+def _search(points: PointSet, limit: int | None):
+    """Empty candidate box of largest volume, in scan units.
 
     Endpoint pairs are enumerated on axes 0 .. d-2 only; each such box prefix
     spans a slab, and the last axis is swept instead. The slab's occupancy per
@@ -248,9 +248,10 @@ def _search(points: PointSet, best, limit: int | None):
     one pass over its endpoints without listing the pairs, so the result is
     the lexicographically smallest maximal witness; volumes are
     multiplied in axis order, so float ties resolve as over all pairs.
-    Returns (volume, witness box or None when none beats `best`).
+    Returns (volume, witness box or None when no box has positive volume).
     """
     unit = _unit(points)
+    best = 0 * unit
     cols = points.points.T
     if isinstance(unit, int) and unit**points.dim >= 2**63:
         cols = cols.astype(object)  # volume numerators outgrow int64: use Python integers
@@ -360,7 +361,7 @@ def largest_empty_box(points: PointSet, *, limit: int | None = None) -> Dispersi
     find.
     """
     unit = _unit(points)
-    best, witness = _search(points, 0 * unit, limit)
+    best, witness = _search(points, limit)
     volume = Fraction(best, unit**points.dim) if isinstance(unit, int) else best
     return DispersionResult(volume=volume, witness=witness)
 
@@ -370,19 +371,15 @@ def has_empty_box_above(
 ) -> ThresholdWitness:
     """Whether some candidate box with volume strictly above `threshold` is empty.
 
-    Equivalent to ``largest_empty_box(points).volume > threshold``: the same
-    search, with the threshold as the starting best, so that every axis-0
-    pair whose height times its start's gap ceiling cannot beat it is
-    skipped. The witness, when found, is therefore
-    ``largest_empty_box(points).witness``. The guard is checked first, as in
-    ``largest_empty_box``.
+    Runs the search of ``largest_empty_box``, guard first, and compares its
+    volume with the threshold: exactly on grid input, where the threshold's
+    exact rational value meets the volume's, and in float on real input.
+    The witness, when found, is ``largest_empty_box(points).witness``.
     """
     unit = _unit(points)
+    best, witness = _search(points, limit)
     if isinstance(unit, int):
-        # integer volume numerators beat threshold * 2^(k*d) exactly when they beat its floor
-        thr = math.floor(exact_fraction(threshold) * unit**points.dim)
+        above = Fraction(best, unit**points.dim) > exact_fraction(threshold)
     else:
-        thr = float(threshold)
-    _, witness = _search(points, thr, limit)
-    return ThresholdWitness(witness is not None, witness)
-
+        above = best > float(threshold)
+    return ThresholdWitness(True, witness) if above else ThresholdWitness(False, None)

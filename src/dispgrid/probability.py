@@ -11,10 +11,10 @@ points, so the exact value decides each support (set of distinct grid
 points) once and weights it by the number of ordered outcomes with exactly
 that support, a surjection count. A support that misses a grid value on
 some axis always fails: those of fewer than 2^k - 1 points are counted
-without being listed, and the others are listed in bulk, a kernel chunk at
-a time, so that only the supports taking every value on every axis are
-decided by the certificate kernel, which is exact on grid sets at their own
-k.
+without being listed, and the others are listed in bulk, a chunk of at
+most CHUNK_ELEMENTS numerators at a time, so that only the supports taking
+every value on every axis are decided by the certificate kernel, which is
+exact on grid sets at their own k.
 """
 
 import itertools
@@ -27,7 +27,7 @@ import numpy as np
 from .construct import full_grid
 from .grid import require_k
 from .guards import DEFAULT_OUTCOME_LIMIT, check_enumeration
-from .partition import BoxClass, feasible_class_table, ln_class_count_bound
+from .partition import CHUNK_ELEMENTS, BoxClass, feasible_class_table, ln_class_count_bound
 
 CHAIN_SLACK = 1e-12
 
@@ -146,18 +146,19 @@ def check_hit_factor_inequality(k) -> FactorInequalityCheck:
     """Check min_j j/(j+1)^(k/(k-1)) >= (2^k - 1) 2^(-k^2/(k-1)) (1 - 1/(k 2^k)).
 
     The per-axis step of the paper's hit-probability bound; it holds for k =
-    2 .. 20 (tested). Evaluates the left side for every j = 1 .. 2^k - 2 (the
-    minimum sits at one of the endpoints, since the map is unimodal with an
-    interior maximum) and reports the minimizing j and the margin.
+    2 .. 20 (tested). The left side over j = 1 .. 2^k - 2 is unimodal with an
+    interior maximum, so its minimum sits at one of the endpoints: only
+    those two are evaluated, and the minimizing j and the margin reported.
     """
     kk = require_k(k)
-    lhs = hit_factor_lhs(kk, np.arange(1, 2**kk - 1, dtype=np.float64))
+    ends = (1, 2**kk - 2)
+    lhs = hit_factor_lhs(kk, np.array(ends, dtype=np.float64))
     i = int(np.argmin(lhs))
     lhs_min = float(lhs[i])
     rhs = (2**kk - 1) * 2.0 ** (-(kk * kk) / (kk - 1.0)) * (1.0 - 1.0 / (kk * 2**kk))
     margin = lhs_min - rhs
     return FactorInequalityCheck(
-        k=kk, holds=margin >= 0.0, min_j=i + 1, lhs_min=lhs_min, rhs=rhs, margin=margin
+        k=kk, holds=margin >= 0.0, min_j=ends[i], lhs_min=lhs_min, rhs=rhs, margin=margin
     )
 
 
@@ -207,15 +208,17 @@ def exact_failure_probability(k, d: int, n: int, *, limit: int | None = None) ->
     s < 2^k - 1 points misses a value on axis 0, so the C(g^d, s) supports
     of each such size, g^d being the number of grid points, all count as
     failures, and below n = 2^k - 1 the chance is 1 without building
-    anything. The larger supports are listed in bulk, one kernel chunk at a
-    time (see _covering_supports), and only those that take every value on
-    every axis are certified by the certificate kernel,
-    ClassTable.first_misses: on a grid set at its own k the certificate
-    fails exactly when some box of volume above 2^-k is empty (see
-    ``certify_dispersion``). The supports that pass are tallied per size,
-    and all others of that size fail. ``limit`` guards the ordered outcomes
-    first, also below n = 2^k - 1; at n >= 2^k - 1 it then guards the class
-    table and the full grid.
+    anything. The larger supports are listed in bulk, a chunk of at most
+    CHUNK_ELEMENTS numerators at a time (see _covering_supports), and only
+    those that take every value on every axis are certified by the
+    certificate kernel, ClassTable.first_misses, in slices of its
+    trials_per_chunk: on a grid set at its own k the certificate fails
+    exactly when some box of volume above 2^-k is empty (see
+    ``certify_dispersion``). So one listing chunk and its covering supports
+    are all that is held at once. The supports that pass are tallied per
+    size, and all others of that size fail. ``limit`` guards the ordered
+    outcomes first, also below n = 2^k - 1; at n >= 2^k - 1 it then guards
+    the class table and the full grid.
     """
     kk = require_k(k)
     if d < 1 or n < 1:
@@ -234,50 +237,40 @@ def exact_failure_probability(k, d: int, n: int, *, limit: int | None = None) ->
     if n >= g:
         table = feasible_class_table(kk, d, limit=limit)
         grid = full_grid(kk, d, limit=limit).points
-        # no larger than all the supports, so that a small instance allocates little
-        rows = min(table.trials_per_chunk(top), sum(math.comb(cells, s) for s in range(g, top + 1)))
-        for nums, sizes in _covering_supports(grid, g, top, rows):
-            hit = table.first_misses(nums) == table.count
-            passed += np.bincount(sizes[hit], minlength=top + 1)
+        trials = table.trials_per_chunk(top)
+        for nums, sizes in _covering_supports(grid, g, top):
+            for at in range(0, len(sizes), trials):
+                hit = table.first_misses(nums[at : at + trials]) == table.count
+                passed += np.bincount(sizes[at : at + trials][hit], minlength=top + 1)
     failures = sum((math.comb(cells, s) - int(passed[s])) * weights[s] for s in range(1, top + 1))
     return Fraction(failures, total)
 
 
-def _covering_supports(grid: np.ndarray, g: int, top: int, rows: int):
-    """The supports of g .. top grid points that take every value 1 .. g on every axis, as chunks of `rows` for the certificate kernel.
+def _covering_supports(grid: np.ndarray, g: int, top: int):
+    """The supports of g .. top grid points that take every value 1 .. g on every axis, a listing chunk at a time.
 
-    Yields each chunk's numerators, a (rows, top, d) array in which a support
-    of s < top points repeats its first point, and each support's size;
-    only the last chunk may hold fewer. The supports are listed by size,
-    then lexicographically, `rows` at a time into one index buffer padded in
-    place, which may span several sizes; those that cover every value move
-    on to a queue, which passes on a chunk whenever it holds one. So no more
-    than three chunks' worth of supports are held at once, however many
-    there are. Each chunk's sizes are overwritten by the next chunk.
+    The supports are listed by size, then lexicographically, by
+    _support_chunks, in chunks of CHUNK_ELEMENTS // (top d) rows (no more
+    than there are supports), so that a chunk's numerators stay within
+    CHUNK_ELEMENTS, the bound the certificate kernel keeps on each of its
+    arrays. A chunk may span several sizes. Yields, for each chunk with any
+    support that covers every value, those supports' numerators, an array of
+    shape (supports, top, d) in which a support of s < top points repeats
+    its first point, and each one's size.
     """
     cells, d = grid.shape
     # the bit of each grid point's value on each axis, packed into bytes
     masks = np.packbits((grid[:, :, None] == np.arange(1, g + 1)).reshape(cells, d * g), axis=1)
     full = np.packbits(np.ones(d * g, dtype=bool))
-    queue = np.empty((2 * rows, top), dtype=np.int64)
-    queued = np.empty(2 * rows, dtype=np.int64)
-    held = 0
+    supports = sum(math.comb(cells, s) for s in range(g, top + 1))
+    rows = min(CHUNK_ELEMENTS // (top * d), supports)
     for picks, sizes in _support_chunks(cells, g, top, rows):
         seen = masks.take(picks[:, 0], axis=0)
         for column in range(1, top):
             seen |= masks.take(picks[:, column], axis=0)
         keep = (seen == full).all(axis=1)
-        more = int(np.count_nonzero(keep))
-        queue[held : held + more] = picks[keep]
-        queued[held : held + more] = sizes[keep]
-        held += more
-        if held >= rows:
-            yield grid.take(queue[:rows], axis=0), queued[:rows]
-            held -= rows
-            queue[:held] = queue[rows : rows + held]
-            queued[:held] = queued[rows : rows + held]
-    if held:
-        yield grid.take(queue[:held], axis=0), queued[:held]
+        if keep.any():
+            yield grid.take(picks[keep], axis=0), sizes[keep]
 
 
 def _support_chunks(cells: int, low: int, top: int, rows: int):

@@ -8,7 +8,8 @@ per-outcome empty-box search, the former batched candidate-box count over
 every support and the former one-support-at-a-time certificate loop for
 exact failure probabilities, grid
 enumeration for hit probabilities, a per-class loop over rebuilt classes
-for the hit-probability audit, classification of a fine mesh of boxes
+for the hit-probability audit, a scan of every j for the per-axis factor
+inequality, classification of a fine mesh of boxes
 and a per-class feasibility walk for the feasible class set, a filter of
 the whole span grid for the feasible and the minimal span vectors, the
 former table build that expands every class's anchors and spans, a
@@ -55,7 +56,7 @@ from dispgrid.guards import (
     check_enumeration,
 )
 from dispgrid.partition import BLOCK_CLASSES, _prefix_sums, feasible_class_table
-from dispgrid.probability import HitProbabilityAudit
+from dispgrid.probability import FactorInequalityCheck, HitProbabilityAudit, hit_factor_lhs
 
 # Supports (padded to n points) handed to ``batch_has_empty_box_above`` at once
 # by ``reference_exact_failure_probability``.
@@ -498,6 +499,23 @@ def reference_hit_audit(k: int, d: int) -> HitProbabilityAudit:
         lower_bound=bound,
         passed=count > 0 and not violations,
         violations=tuple(violations),
+    )
+
+
+def scan_hit_factor_inequality(k: int) -> FactorInequalityCheck:
+    """The per-axis factor inequality with its left side evaluated at every j = 1 .. 2^k - 2.
+
+    The former ``check_hit_factor_inequality``: 8 (2^k - 2) bytes of float64
+    j values, where the library evaluates only the two endpoints.
+    """
+    kk = require_k(k)
+    lhs = hit_factor_lhs(kk, np.arange(1, 2**kk - 1, dtype=np.float64))
+    i = int(np.argmin(lhs))
+    lhs_min = float(lhs[i])
+    rhs = (2**kk - 1) * 2.0 ** (-(kk * kk) / (kk - 1.0)) * (1.0 - 1.0 / (kk * 2**kk))
+    margin = lhs_min - rhs
+    return FactorInequalityCheck(
+        k=kk, holds=margin >= 0.0, min_j=i + 1, lhs_min=lhs_min, rhs=rhs, margin=margin
     )
 
 

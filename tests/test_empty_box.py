@@ -314,7 +314,7 @@ class TestGapSweepMatchesPairScan:
                 assert found == (_pair_scan(pts, t)[1] is not None) == (volume > t)
 
     def test_threshold_witness_is_the_largest_empty_box(self):
-        # the threshold search is the full search started at the threshold
+        # the threshold search runs the full search and compares its volume with the threshold
         for pts in _sweep_cases(5, 150):
             result = largest_empty_box(pts)
             for t in (0, result.volume / 3, result.volume / 2):
@@ -472,3 +472,45 @@ class TestHasEmptyBoxAbove:
             vol = largest_empty_box(pts).volume
             for threshold in (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
                 assert has_empty_box_above(pts, threshold).found == (vol > threshold)
+
+    def test_non_dyadic_float_thresholds_on_grid_input(self):
+        # grid volumes are exact rationals, compared with a float threshold's exact binary value
+        rng = random.Random(4)
+        cases = [full_grid(4, 1), full_grid(4, 2)]  # dispersion 1/16, below 0.1
+        for _ in range(80):
+            k, d = rng.choice([2, 3]), rng.choice([1, 2, 3])
+            rows = [tuple(rng.randrange(1, 2**k) for _ in range(d)) for _ in range(rng.randrange(40))]
+            cases.append(PointSet.from_numerators(k, d, rows))
+        outcomes = {0.1: set(), 1 / 3: set()}
+        for pts in cases:
+            result = largest_empty_box(pts)
+            below = math.nextafter(float(result.volume), 0)
+            for t in (0.1, 1 / 3, float(result.volume), below):
+                above = result.volume > t
+                assert has_empty_box_above(pts, t) == ((True, result.witness) if above else (False, None))
+                outcomes.get(t, set()).add(above)
+        assert outcomes == {0.1: {True, False}, 1 / 3: {True, False}}
+
+    def test_fraction_thresholds_on_real_input(self):
+        # real volumes are floats, compared with the threshold rounded to a float
+        rng = random.Random(5)
+        outcomes = {Fraction(1, 10): set(), Fraction(1, 3): set()}
+        for _ in range(80):
+            d = rng.choice([1, 2, 3])
+            rows = [tuple(rng.random() for _ in range(d)) for _ in range(rng.randrange(30))]
+            pts = PointSet.from_reals(d, rows)
+            result = largest_empty_box(pts)
+            exact = Fraction(result.volume)
+            for t in (Fraction(1, 10), Fraction(1, 3), exact, exact / 2):
+                above = result.volume > float(t)
+                assert above == (result.volume > t)
+                assert has_empty_box_above(pts, t) == ((True, result.witness) if above else (False, None))
+                outcomes.get(t, set()).add(above)
+        assert outcomes == {Fraction(1, 10): {True, False}, Fraction(1, 3): {True, False}}
+
+    def test_real_input_rounds_a_fraction_threshold_to_a_float(self):
+        # [0, 0.9) holds the float 0.9, just above 9/10, but 9/10 rounds to that same float
+        pts = PointSet.from_reals(1, [(0.9,)])
+        assert largest_empty_box(pts).volume == 0.9 > Fraction(9, 10)
+        assert has_empty_box_above(pts, Fraction(9, 10)) == (False, None)
+        assert has_empty_box_above(pts, Fraction(89, 100)).found

@@ -21,7 +21,7 @@ from dispgrid import (
 )
 from dispgrid import partition, probability
 from dispgrid.guards import DEFAULT_ENUMERATION_LIMIT, DEFAULT_OUTCOME_LIMIT, GuardExceeded
-from dispgrid.partition import ClassTable, feasible_class_table
+from dispgrid.partition import BLOCK_CLASSES, CHUNK_ELEMENTS, ClassTable, feasible_class_table
 
 from oracles import (
     brute_force_hit_probability,
@@ -29,6 +29,7 @@ from oracles import (
     per_outcome_failure_probability,
     reference_exact_failure_probability,
     reference_hit_audit,
+    scan_hit_factor_inequality,
     support_loop_failure_probability,
 )
 
@@ -56,6 +57,20 @@ def spy_first_misses(monkeypatch):
 
     monkeypatch.setattr(ClassTable, "first_misses", counting)
     return calls
+
+
+def spy_listing_chunks(monkeypatch):
+    """Record the number of supports in each listing chunk that _support_chunks yields."""
+    chunks = []
+    listing = probability._support_chunks
+
+    def counting(*args):
+        for picks, sizes in listing(*args):
+            chunks.append(len(sizes))
+            yield picks, sizes
+
+    monkeypatch.setattr(probability, "_support_chunks", counting)
+    return chunks
 
 
 class TestHitProbability:
@@ -164,6 +179,26 @@ class TestFactorInequality:
         assert check.holds
         assert check.min_j in (1, 2**k - 2)
 
+    @pytest.mark.parametrize("k", range(2, 21))
+    def test_matches_the_scan_of_every_j(self, k):
+        assert check_hit_factor_inequality(k) == scan_hit_factor_inequality(k)
+
+    @pytest.mark.parametrize("k", [55, 62])
+    def test_min_j_is_an_exact_endpoint(self, k):
+        # 2^k - 2 has no float form from k = 55, so j is reported from the integers
+        assert check_hit_factor_inequality(k).min_j in (1, 2**k - 2)
+
+    def test_memory_does_not_grow_with_k(self):
+        # a scan of every j would hold 8 (2^24 - 2) bytes, 128 MiB, at k = 24
+        tracemalloc.start()
+        try:
+            check = check_hit_factor_inequality(24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert check.holds and check.min_j in (1, 2**24 - 2)
+        assert peak < 2**20
+
 
 class TestFailureBounds:
     def test_union_bound_at_sufficient_n(self):
@@ -257,6 +292,50 @@ class TestExactFailureProbability:
 
     def test_benchmark_instance_value(self):
         assert exact_failure_probability(2, 2, 7) == Fraction(1406723, 1594323)
+
+    def test_benchmark_instance_makes_one_kernel_call(self, monkeypatch):
+        # the 456 supports of 3 to 7 of the 9 grid points fit one listing chunk,
+        # and their 255 covering supports one kernel call
+        chunks = spy_listing_chunks(monkeypatch)
+        calls = spy_first_misses(monkeypatch)
+        assert exact_failure_probability(2, 2, 7) == Fraction(1406723, 1594323)
+        assert chunks == [456]
+        assert [len(call) for call in calls] == [255]
+
+    def test_listing_chunks_stay_within_the_kernel_bound(self, monkeypatch):
+        # (2, 4, 3): 85,320 supports of 3 points of 4 numerators, CHUNK_ELEMENTS // 12 at a time
+        chunks = spy_listing_chunks(monkeypatch)
+        assert exact_failure_probability(2, 4, 3) == 1
+        rows = CHUNK_ELEMENTS // 12
+        assert sum(chunks) == math.comb(81, 3) and len(chunks) == -(-math.comb(81, 3) // rows) == 16
+        assert set(chunks[:-1]) == {rows} and chunks[-1] <= rows
+
+    @pytest.mark.parametrize(
+        "k,d,n,listed,trials",
+        # `listed` supports per listing chunk; `trials` per kernel call, or the kernel's own bound
+        [(2, 2, 7, 1, None), (2, 2, 7, 7, 3), (2, 2, 7, 50, 4), (2, 3, 4, 40, 4),
+         (2, 3, 4, 300, None)],
+    )
+    def test_many_listing_chunks(self, k, d, n, listed, trials, monkeypatch):
+        top = min(n, (2**k - 1) ** d)
+        want = support_loop_failure_probability(k, d, n)
+        table = feasible_class_table(k, d)
+        if trials:
+            per_support = max(min(len(table.minimal_corners), BLOCK_CLASSES), (2**k - 1) ** d + 1, n * d)
+            monkeypatch.setattr(partition, "CHUNK_ELEMENTS", trials * per_support)
+        bound = table.trials_per_chunk(top)
+        assert bound == (trials or bound)
+        monkeypatch.setattr(probability, "CHUNK_ELEMENTS", listed * top * d)
+        chunks = spy_listing_chunks(monkeypatch)
+        calls = spy_first_misses(monkeypatch)
+        assert exact_failure_probability(k, d, n) == want
+        supports = sum(math.comb((2**k - 1) ** d, s) for s in range(2**k - 1, top + 1))
+        assert sum(chunks) == supports and max(chunks) == listed and len(chunks) == -(-supports // listed)
+        tested = list(itertools.chain.from_iterable(calls))
+        covering = covering_supports(k, d, 2**k - 1, top)
+        assert len(tested) == len(set(tested)) == len(covering)
+        assert set(tested) == set(covering)
+        assert max(len(call) for call in calls) <= bound
 
     @pytest.mark.parametrize(
         "k,d,n,covering",
