@@ -44,7 +44,6 @@ from .empty_box import (
 from .grid import (
     GRID_REPR,
     REAL_REPR,
-    GridParams,
     PointSet,
     k_from_epsilon,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "DispersionResult",
     "FactorInequalityCheck",
     "GeneratedSet",
-    "GridParams",
     "GuardExceeded",
     "HitProbabilityAudit",
     "MinNSearch",

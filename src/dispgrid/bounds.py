@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .grid import exact_fraction, k_from_epsilon, require_k
+from .grid import k_from_epsilon, require_k
 from .partition import short_side_threshold
 
 _EPS_HALF_OPEN = (0.0, 0.5)
@@ -137,8 +137,8 @@ def bounds_table(eps_list, d_list) -> list[BoundsRow]:
     """
     rows = []
     for eps in eps_list:
-        e = exact_fraction(eps)
-        k = k_from_epsilon(e).k
+        e = Fraction(eps)
+        k = k_from_epsilon(e)
         for d in d_list:
             n_logdim = points_for_dispersion(e, d)
             n_lineardim = points_for_dispersion_lineardim(e, d)

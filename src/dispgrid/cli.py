@@ -186,7 +186,7 @@ def parse_cli(argv) -> argparse.Namespace:
     """Parse and validate argv; a given eps is converted to k and both kept."""
     args = build_parser().parse_args(argv)
     if getattr(args, "eps", None) is not None:
-        args.k = k_from_epsilon(args.eps).k
+        args.k = k_from_epsilon(args.eps)
     return args
 
 

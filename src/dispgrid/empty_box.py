@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import GRID_REPR, PointSet, exact_fraction
+from .grid import GRID_REPR, PointSet
 from .guards import DEFAULT_ENUMERATION_LIMIT, check_enumeration
 
 # Boxes evaluated at once (box prefixes times last-axis endpoints), but never
@@ -156,8 +156,9 @@ def _occupancy_prefix(occupancy: np.ndarray) -> np.ndarray:
     """Exclusive prefix sums of an occupancy tensor along every axis after the first.
 
     Each of those axes gains a leading zero, so entry t along it sums the
-    cells with index below t. The first axis indexes a batch of tensors and
-    is kept as it is.
+    cells with index below t. The first axis is kept as it is: ``_search``
+    moves the last axis's endpoints there, so that one endpoint is one
+    contiguous row.
     """
     shape = occupancy.shape[:1] + tuple(c + 1 for c in occupancy.shape[1:])
     prefix = np.zeros(shape, dtype=np.int64)
@@ -198,11 +199,6 @@ def _pairs(count: int):
     return np.nonzero(np.less.outer(steps, steps))
 
 
-def _unit(points: PointSet):
-    """Scan units: integer numerators over 2^k for grid input, floats otherwise."""
-    return 2**points.k if points.repr == GRID_REPR else 1.0
-
-
 def _distinct(values: np.ndarray) -> np.ndarray:
     """Sorted distinct values, without ``np.unique``: it imports ``numpy.ma``, ~2 MB resident."""
     values = np.sort(values)
@@ -210,7 +206,10 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 
 
 def _search(points: PointSet, limit: int | None):
-    """Empty candidate box of largest volume, in scan units.
+    """Empty candidate box of largest volume, and that volume.
+
+    The scan runs in scan units: integer numerators over 2^k on grid input,
+    floats on real input.
 
     Endpoint pairs are enumerated on axes 0 .. d-2 only; each such box prefix
     spans a slab, and the last axis is swept instead. The slab's occupancy per
@@ -248,9 +247,11 @@ def _search(points: PointSet, limit: int | None):
     one pass over its endpoints without listing the pairs, so the result is
     the lexicographically smallest maximal witness; volumes are
     multiplied in axis order, so float ties resolve as over all pairs.
-    Returns (volume, witness box or None when no box has positive volume).
+    Returns (volume, witness box or None when no box has positive volume):
+    the volume is the exact Fraction numerator / 2^(k*d) on grid input and
+    the float on real input.
     """
-    unit = _unit(points)
+    unit = 2**points.k if points.repr == GRID_REPR else 1.0  # scan units
     best = 0 * unit
     cols = points.points.T
     if isinstance(unit, int) and unit**points.dim >= 2**63:
@@ -310,12 +311,13 @@ def _search(points: PointSet, limit: int | None):
             # each start's last pair here is its widest so far, so its gaps bound the start's later pairs
             tail = np.flatnonzero(np.append(lo[1:] != lo[:-1], True))
             ceiling[lo[tail]] = gaps.reshape(-1, rows)[tail]
+    volume = Fraction(best, unit**points.dim) if isinstance(unit, int) else best
     if found is None:
-        return best, None
+        return volume, None
     at, row, height = found
     found = (*np.unravel_index(at, [len(w) for w in widths]), 0)
     pair_last = _first_widest_pair(row > 0, last, height)
-    return best, _witness_box(found, values, [*pairs, pair_last], cells, unit)
+    return volume, _witness_box(found, values, [*pairs, pair_last], cells, unit)
 
 
 def _first_widest_pair(occupied: np.ndarray, last: np.ndarray, height):
@@ -358,12 +360,10 @@ def largest_empty_box(points: PointSet, *, limit: int | None = None) -> Dispersi
     the box prefixes times the last-axis endpoints exceed the enumeration
     limit. Ties resolve to the lexicographically smallest witness endpoint
     vector, as an exhaustive scan that keeps only strict improvements would
-    find.
+    find. The volume is an exact Fraction on grid input and a float, with
+    sides multiplied in axis order, on real input.
     """
-    unit = _unit(points)
-    best, witness = _search(points, limit)
-    volume = Fraction(best, unit**points.dim) if isinstance(unit, int) else best
-    return DispersionResult(volume=volume, witness=witness)
+    return DispersionResult(*_search(points, limit))
 
 
 def has_empty_box_above(
@@ -371,15 +371,14 @@ def has_empty_box_above(
 ) -> ThresholdWitness:
     """Whether some candidate box with volume strictly above `threshold` is empty.
 
-    Runs the search of ``largest_empty_box``, guard first, and compares its
-    volume with the threshold: exactly on grid input, where the threshold's
-    exact rational value meets the volume's, and in float on real input.
-    The witness, when found, is ``largest_empty_box(points).witness``.
+    Runs the search of ``largest_empty_box``, guard first, and compares the
+    exact rational values of its volume and of the threshold, on grid and
+    real input alike: ``Fraction(volume) > Fraction(threshold)``, so a float
+    threshold counts at its exact binary value and a threshold that has no
+    such value (inf, nan) raises. The witness, when found, is
+    ``largest_empty_box(points).witness``.
     """
-    unit = _unit(points)
-    best, witness = _search(points, limit)
-    if isinstance(unit, int):
-        above = Fraction(best, unit**points.dim) > exact_fraction(threshold)
-    else:
-        above = best > float(threshold)
-    return ThresholdWitness(True, witness) if above else ThresholdWitness(False, None)
+    volume, witness = _search(points, limit)
+    if Fraction(volume) > Fraction(threshold):
+        return ThresholdWitness(True, witness)
+    return ThresholdWitness(False, None)

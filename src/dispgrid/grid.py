@@ -19,51 +19,31 @@ GRID_REPR = "grid"
 REAL_REPR = "real"
 
 
-@dataclass(frozen=True)
-class GridParams:
-    """Grid resolution exponent k; numerators run over 1 .. 2^k - 1."""
-
-    k: int
-
-    def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < MIN_K:
-            raise ValueError(f"grid resolution k must be an integer >= {MIN_K}, got {self.k!r}")
-
-
 def require_k(k) -> int:
-    """Coerce an int or GridParams to a validated resolution exponent."""
-    if isinstance(k, GridParams):
-        return k.k
-    return GridParams(k).k
+    """Return the grid resolution exponent k when it is an int >= MIN_K.
+
+    Anything else raises ValueError: floats, strings, None and numpy
+    integers, and True, which is the int 1.
+    """
+    if not isinstance(k, int) or k < MIN_K:
+        raise ValueError(f"grid resolution k must be an integer >= {MIN_K}, got {k!r}")
+    return k
 
 
-def exact_fraction(x) -> Fraction:
-    """Exact rational value of x; floats contribute their exact binary value."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
-
-
-def k_from_epsilon(eps) -> GridParams:
+def k_from_epsilon(eps) -> int:
     """Resolution whose cells are finer than the accuracy eps in (0, 1/2).
 
     Returns the unique k with 2^-k <= eps < 2^-(k-1). The comparison is made
     against exact dyadic thresholds rather than through floating-point
     logarithms, so eps == 2^-k maps to k itself.
     """
-    e = exact_fraction(eps)
+    e = Fraction(eps)
     if not (0 < e < Fraction(1, 2)):
         raise ValueError(f"eps must lie in (0, 1/2), got {eps!r}")
     k = MIN_K
     while e < Fraction(1, 2**k):
         k += 1
-    return GridParams(k)
+    return k
 
 
 @dataclass(frozen=True, eq=False)

@@ -43,7 +43,7 @@ from typing import Iterator
 import numpy as np
 
 from .empty_box import Box
-from .grid import exact_fraction, require_k
+from .grid import require_k
 from .guards import check_enumeration
 
 # Rows of the corner matrix per pass of the certificate kernel: a trial stops
@@ -162,8 +162,8 @@ def classify_box(box: Box, k) -> BoxClass:
     """
     kk = require_k(k)
     m = 2**kk
-    lower = [exact_fraction(x) for x in box.lower]
-    upper = [exact_fraction(x) for x in box.upper]
+    lower = [Fraction(x) for x in box.lower]
+    upper = [Fraction(x) for x in box.upper]
     volume = math.prod(u - l for l, u in zip(lower, upper))
     if not volume > Fraction(1, m):
         raise ValueError(f"box volume {volume} is not above 2^-{kk}; no class matches")

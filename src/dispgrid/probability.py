@@ -145,20 +145,29 @@ class FactorInequalityCheck:
 def check_hit_factor_inequality(k) -> FactorInequalityCheck:
     """Check min_j j/(j+1)^(k/(k-1)) >= (2^k - 1) 2^(-k^2/(k-1)) (1 - 1/(k 2^k)).
 
-    The per-axis step of the paper's hit-probability bound; it holds for k =
-    2 .. 20 (tested). The left side over j = 1 .. 2^k - 2 is unimodal with an
-    interior maximum, so its minimum sits at one of the endpoints: only
-    those two are evaluated, and the minimizing j and the margin reported.
+    The per-axis step of the paper's hit-probability bound. The left side
+    over j = 1 .. 2^k - 2 is unimodal with an interior maximum, so its
+    minimum sits at one of the endpoints: only those two are evaluated.
+    There the sides differ by about 2^-k/k relative, a few ulps by k = 46,
+    so they are compared in a form without cancellation. With
+    x = 2^-k the right side is 2^(-k/(k-1)) (1 - x)(1 - x/k), and ln(lhs/rhs)
+    is -log1p(-x) - log1p(-x/k) at j = 1 and
+    log1p(-(x/(1-x))^2) - log1p(-x)/(k-1) - log1p(-x/k) at j = 2^k - 2,
+    whose one negative term is of order x^2 against x/k for the others. The
+    margin is rhs expm1(ln(lhs/rhs)) at the smaller one, and the reported j
+    is that endpoint as an integer; when both logarithms underflow to zero
+    it is 2^k - 2, whose left side is the smaller at every k >= 2. The
+    inequality holds for every k up to 1100 (tested).
     """
     kk = require_k(k)
-    ends = (1, 2**kk - 2)
-    lhs = hit_factor_lhs(kk, np.array(ends, dtype=np.float64))
-    i = int(np.argmin(lhs))
-    lhs_min = float(lhs[i])
-    rhs = (2**kk - 1) * 2.0 ** (-(kk * kk) / (kk - 1.0)) * (1.0 - 1.0 / (kk * 2**kk))
-    margin = lhs_min - rhs
+    x = 2.0**-kk
+    rhs = 2.0 ** (-kk / (kk - 1)) * (1.0 - x) * (1.0 - x / kk)
+    ln_first = -math.log1p(-x) - math.log1p(-x / kk)
+    ln_last = math.log1p(-((x / (1.0 - x)) ** 2)) - math.log1p(-x) / (kk - 1) - math.log1p(-x / kk)
+    min_j, ln_ratio = (1, ln_first) if ln_first < ln_last else (2**kk - 2, ln_last)
+    margin = rhs * math.expm1(ln_ratio)
     return FactorInequalityCheck(
-        k=kk, holds=margin >= 0.0, min_j=ends[i], lhs_min=lhs_min, rhs=rhs, margin=margin
+        k=kk, holds=margin >= 0.0, min_j=min_j, lhs_min=rhs + margin, rhs=rhs, margin=margin
     )
 
 

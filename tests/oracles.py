@@ -21,6 +21,7 @@ before it scans a core, and one certificate per trial for Monte Carlo
 success counts.
 """
 
+import decimal
 import functools
 import itertools
 import math
@@ -46,7 +47,6 @@ from dispgrid.empty_box import (
     _inside_counts,
     _occupancy_prefix,
     _pairs,
-    _unit,
     _witness_box,
 )
 from dispgrid.grid import require_k
@@ -217,7 +217,7 @@ def pair_scan_search(points: PointSet, best, limit: int | None = None):
     strictly beat the best, and its first maximiser replaces the best only on
     strict improvement. Returns (volume, witness box or None).
     """
-    unit = _unit(points)
+    unit = 2**points.k if points.repr == "grid" else 1.0
     cols = points.points.T
     if isinstance(unit, int) and unit**points.dim >= 2**63:
         cols = cols.astype(object)
@@ -517,6 +517,22 @@ def scan_hit_factor_inequality(k: int) -> FactorInequalityCheck:
     return FactorInequalityCheck(
         k=kk, holds=margin >= 0.0, min_j=i + 1, lhs_min=lhs_min, rhs=rhs, margin=margin
     )
+
+
+def decimal_hit_factor_inequality(k: int) -> tuple:
+    """(lhs_min, rhs, margin) of the per-axis factor inequality in decimal arithmetic.
+
+    The left side is evaluated at its candidate minima j = 1 and 2^k - 2 with
+    k // 3 + 40 significant digits: the margin is about 2^-k/k of either
+    side, so that many digits leave it about 40 of its own.
+    """
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = k // 3 + 40
+        power = D(k) / D(k - 1)
+        lhs = min(j / ((j + 1).ln() * power).exp() for j in (D(1), D(2**k - 2)))
+        rhs = D(2**k - 1) * (-D(k * k) / D(k - 1) * D(2).ln()).exp() * (1 - 1 / D(k * 2**k))
+        return lhs, rhs, lhs - rhs
 
 
 def classes_from_fine_mesh(k: int, d: int) -> set:

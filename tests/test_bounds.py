@@ -54,7 +54,7 @@ class TestClosedForms:
 
     def test_lineardim_drives_the_crude_union_bound_negative(self):
         for eps in EPS_GRID:
-            k = k_from_epsilon(eps).k
+            k = k_from_epsilon(eps)
             for d in D_GRID:
                 n = math.ceil(points_for_dispersion_lineardim(eps, d))
                 assert ln_union_failure_bound_crude(k, d, n) < 0

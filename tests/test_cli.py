@@ -382,7 +382,7 @@ GOLDEN = {
         "# command: ineq-check\n"
         "# config: fmt=csv k_max=2\n"
         "k,lhs_min,rhs,margin,min_j,pass\n"
-        "2,0.2222222222222222,0.1640625,0.05815972222222221,2,true\n",
+        "2,0.22222222222222224,0.1640625,0.05815972222222223,2,true\n",
     ),
 }
 

@@ -508,9 +508,9 @@ class TestHasEmptyBoxAbove:
                 outcomes.get(t, set()).add(above)
         assert outcomes == {Fraction(1, 10): {True, False}, Fraction(1, 3): {True, False}}
 
-    def test_real_input_rounds_a_fraction_threshold_to_a_float(self):
-        # [0, 0.9) holds the float 0.9, just above 9/10, but 9/10 rounds to that same float
+    def test_real_input_reads_a_fraction_threshold_exactly(self):
+        # [0, 0.9) holds the float 0.9, just above 9/10, though 9/10 rounds to that same float
         pts = PointSet.from_reals(1, [(0.9,)])
         assert largest_empty_box(pts).volume == 0.9 > Fraction(9, 10)
-        assert has_empty_box_above(pts, Fraction(9, 10)) == (False, None)
+        assert has_empty_box_above(pts, Fraction(9, 10)) == (True, largest_empty_box(pts).witness)
         assert has_empty_box_above(pts, Fraction(89, 100)).found

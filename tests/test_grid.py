@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dispgrid import (
-    GridParams,
     PointSet,
     certify_dispersion,
     full_grid,
@@ -19,19 +19,19 @@ from dispgrid.pointset_io import PointSetParseError
 
 class TestKFromEpsilon:
     def test_quarter_maps_to_two(self):
-        assert k_from_epsilon(Fraction(1, 4)).k == 2
+        assert k_from_epsilon(Fraction(1, 4)) == 2
 
     def test_point_three_maps_to_two(self):
         # 1/4 <= 0.3 < 1/2
-        assert k_from_epsilon(Fraction(3, 10)).k == 2
+        assert k_from_epsilon(Fraction(3, 10)) == 2
 
     def test_point_one_maps_to_four(self):
         # 1/16 <= 0.1 < 1/8
-        assert k_from_epsilon(Fraction(1, 10)).k == 4
+        assert k_from_epsilon(Fraction(1, 10)) == 4
 
     @pytest.mark.parametrize("k", range(2, 20))
     def test_exact_dyadic_boundary(self, k):
-        assert k_from_epsilon(Fraction(1, 2**k)).k == k
+        assert k_from_epsilon(Fraction(1, 2**k)) == k
 
     @pytest.mark.parametrize("eps", [0, Fraction(1, 2), 1, -0.1, 0.5])
     def test_domain_errors(self, eps):
@@ -40,12 +40,12 @@ class TestKFromEpsilon:
 
     @given(st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(499, 1000)))
     def test_round_trip(self, eps):
-        k = k_from_epsilon(eps).k
+        k = k_from_epsilon(eps)
         assert Fraction(1, 2**k) <= eps < Fraction(1, 2 ** (k - 1))
 
     def test_non_increasing_in_eps(self):
         eps_grid = [Fraction(i, 1000) for i in range(499, 0, -7)]
-        ks = [k_from_epsilon(e).k for e in eps_grid]
+        ks = [k_from_epsilon(e) for e in eps_grid]
         assert all(a <= b for a, b in zip(ks, ks[1:]))
 
 
@@ -59,8 +59,8 @@ class TestEpsilonRange:
     def test_values(self, k, lo, hi):
         # the accuracies 2^-k <= eps < 2^-(k-1) map to k, and the next one down does not
         for eps in (lo, (lo + hi) / 2, hi - Fraction(1, 2**20)):
-            assert k_from_epsilon(eps).k == k
-        assert k_from_epsilon(lo - Fraction(1, 2**20)).k == k + 1
+            assert k_from_epsilon(eps) == k
+        assert k_from_epsilon(lo - Fraction(1, 2**20)) == k + 1
 
     def test_rejects_small_k(self):
         with pytest.raises(ValueError):
@@ -90,10 +90,18 @@ class TestGridValues:
             full_grid(40, 1, limit=1000)
 
 
-class TestGridParams:
-    def test_rejects_k_below_two(self):
-        with pytest.raises(ValueError):
-            GridParams(1)
+class TestRequireK:
+    @pytest.mark.parametrize("k", [1, True, 2.0, "3", None, np.int64(3)])
+    def test_refuses_all_but_an_int_of_at_least_two(self, k):
+        with pytest.raises(ValueError, match=re.escape(f"grid resolution k must be an integer >= 2, got {k!r}")):
+            require_k(k)
+
+    @pytest.mark.parametrize("k", [2, 40])
+    def test_returns_an_accepted_k(self, k):
+        assert require_k(k) == k
+
+    def test_k_from_epsilon_returns_an_int(self):
+        assert type(k_from_epsilon(Fraction(1, 10))) is int
 
 
 class TestPointSet:

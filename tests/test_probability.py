@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from dispgrid.partition import BLOCK_CLASSES, CHUNK_ELEMENTS, ClassTable, feasib
 from oracles import (
     brute_force_hit_probability,
     coverage_failure_probability,
+    decimal_hit_factor_inequality,
     per_outcome_failure_probability,
     reference_exact_failure_probability,
     reference_hit_audit,
@@ -181,7 +183,22 @@ class TestFactorInequality:
 
     @pytest.mark.parametrize("k", range(2, 21))
     def test_matches_the_scan_of_every_j(self, k):
-        assert check_hit_factor_inequality(k) == scan_hit_factor_inequality(k)
+        # the scan's margin is a difference of two floats near rhs, so it is read to 1e-13 of rhs
+        check, scan = check_hit_factor_inequality(k), scan_hit_factor_inequality(k)
+        assert (check.k, check.min_j, check.holds) == (scan.k, scan.min_j, scan.holds)
+        assert math.isclose(check.lhs_min, scan.lhs_min, rel_tol=1e-13)
+        assert math.isclose(check.rhs, scan.rhs, rel_tol=1e-13)
+        assert math.isclose(check.margin, scan.margin, rel_tol=1e-13, abs_tol=1e-13 * scan.rhs)
+
+    @pytest.mark.parametrize("k", [*range(2, 65), 1015])
+    def test_matches_a_decimal_reference(self, k):
+        # from k = 47 the sides differ by about an ulp, and from k = 1015 k 2^k has no float
+        check = check_hit_factor_inequality(k)
+        for got, want in zip((check.lhs_min, check.rhs, check.margin), decimal_hit_factor_inequality(k)):
+            assert abs(Decimal(got) - want) <= Decimal("1e-12") * abs(want)
+
+    def test_holds_through_k1100(self):
+        assert all(check_hit_factor_inequality(k).holds for k in range(2, 1101))
 
     @pytest.mark.parametrize("k", [55, 62])
     def test_min_j_is_an_exact_endpoint(self, k):
